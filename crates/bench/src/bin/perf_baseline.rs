@@ -5,15 +5,11 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p rlse-bench --bin perf_baseline \
-//!     [label] [--threads 2,4,8] [--design-scale 32] > BENCH_sim.json
+//! cargo run --release -p rlse-bench --bin perf_baseline [label] > BENCH_sim.json
 //! ```
 //!
 //! The optional `label` (default `"current"`) tags the kernel under test so
 //! before/after reports from different checkouts can sit side by side.
-//! `--threads` sets the worker counts the `sim_parallel` section measures
-//! (default `2,4,8`); `--design-scale` caps the largest scaled design it
-//! runs (`16`, `32`, or `64`; default `32`).
 //!
 //! Two timing modes are reported per simulation workload:
 //!
@@ -37,11 +33,11 @@
 
 use rlse_analog::synth::from_circuit;
 use rlse_bench::{
-    bench_adder_sync, bench_bitonic, bench_bitonic_waves, bench_c, bench_c_inv, bench_min_max,
-    bench_wide_adder_xsfq, expected_outputs, simulate, Bench,
+    bench_adder_sync, bench_bitonic, bench_c, bench_c_inv, bench_min_max, expected_outputs,
+    simulate, Bench,
 };
 use rlse_core::prelude::*;
-use rlse_core::sweep::{BatchSweep, Sweep};
+use rlse_core::sweep::{trial_seed, Sweep};
 use rlse_designs::ripple_adder_with_inputs;
 use rlse_ta::mc::{check, check_with_telemetry, McOptions, McQuery};
 use rlse_ta::translate::translate_circuit;
@@ -215,11 +211,11 @@ fn measure_sim<F: Fn() -> Bench>(name: &'static str, build: F) -> SimRow {
     }
 }
 
-/// One workload measured on both Monte-Carlo engines at high trial count:
-/// the per-trial-worker scalar sweep (the "before") and the batch
-/// kernel (the "after"), both on all cores. The two engines are proven
-/// bit-identical by `tests/sweep_batch_differential.rs`; this row prices
-/// the structure-of-arrays win (compile-once, observed-only recording, no
+/// One workload at high trial count, on one thread: a per-trial
+/// `Simulation` loop (the "scalar" column) against a [`Sweep`], which runs
+/// the lane kernel. The two are proven bit-identical by
+/// `tests/sweep_batch_differential.rs`; this row prices the
+/// structure-of-arrays win (compile-once, observed-only recording, no
 /// per-trial allocation).
 struct BatchRow {
     name: &'static str,
@@ -246,45 +242,47 @@ where
     const SIGMA: f64 = 0.2;
     const SEED: u64 = 42;
     const WIDTH: usize = 64;
-    // One instrumented batch run supplies the per-block counters and the
-    // outcome tallies both engines must agree on (checked cheaply here via
+    let sweep = || {
+        Sweep::over(build)
+            .variability(|| Variability::Gaussian { std: SIGMA })
+            .trials(trials)
+            .master_seed(SEED)
+            .threads(1)
+            .batch_width(WIDTH)
+    };
+    // The per-trial loop: one reused simulation, seeded per trial exactly
+    // as a sweep seeds it. Returns the count of clean trials.
+    let per_trial = || {
+        let mut sim = Simulation::new(build());
+        (0..trials)
+            .filter(|&trial| {
+                sim.set_seed(trial_seed(SEED, trial));
+                sim.set_variability(Some(Variability::Gaussian { std: SIGMA }));
+                sim.run().is_ok()
+            })
+            .count() as u64
+    };
+    // One instrumented sweep supplies the per-block counters and the
+    // outcome tally both columns must agree on (checked cheaply here via
     // the ok count; the differential test suite proves full bit-identity).
     let tel = Telemetry::new();
-    let batch_ok = BatchSweep::over(build)
-        .variability(|| Variability::Gaussian { std: SIGMA })
-        .trials(trials)
-        .master_seed(SEED)
-        .batch_width(WIDTH)
-        .telemetry(&tel)
-        .run()
-        .ok;
+    let batch_ok = sweep().telemetry(&tel).run().ok;
     let report = tel.report();
-    let scalar_ok = Sweep::over(build)
-        .variability(|| Variability::Gaussian { std: SIGMA })
-        .trials(trials)
-        .master_seed(SEED)
-        .run()
-        .ok;
-    assert_eq!(batch_ok, scalar_ok, "{name}: engines disagree on outcomes");
+    assert_eq!(
+        batch_ok,
+        per_trial(),
+        "{name}: engines disagree on outcomes"
+    );
     let scalar_ns = time_median(
         || {
-            Sweep::over(build)
-                .variability(|| Variability::Gaussian { std: SIGMA })
-                .trials(trials)
-                .master_seed(SEED)
-                .run();
+            per_trial();
         },
         600.0,
         3,
     );
     let batch_ns = time_median(
         || {
-            BatchSweep::over(build)
-                .variability(|| Variability::Gaussian { std: SIGMA })
-                .trials(trials)
-                .master_seed(SEED)
-                .batch_width(WIDTH)
-                .run();
+            sweep().run();
         },
         600.0,
         3,
@@ -292,13 +290,13 @@ where
     BatchRow {
         name,
         trials,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        threads: 1,
         batch_width: WIDTH,
         scalar_ns_per_trial: scalar_ns / trials as f64,
         batch_ns_per_trial: batch_ns / trials as f64,
-        blocks: report.counter("sweep_batch.blocks"),
-        dispatches: report.counter("sweep_batch.dispatches"),
-        wire_pulses: report.counter("sweep_batch.wire_pulses"),
+        blocks: report.counter("sweep.blocks"),
+        dispatches: report.counter("sweep.dispatches"),
+        wire_pulses: report.counter("sweep.wire_pulses"),
     }
 }
 
@@ -457,102 +455,10 @@ fn measure_analog() -> Vec<AnalogRow> {
     .collect()
 }
 
-/// One scaled design measured scalar vs partitioned at each worker count.
-/// The partitioned runs are asserted bit-identical to the scalar events
-/// before anything is timed.
-struct ParRow {
-    name: &'static str,
-    events: u64,
-    scalar_median_ns: f64,
-    threads: Vec<ParThreadRow>,
-}
-
-struct ParThreadRow {
-    threads: usize,
-    median_ns: f64,
-    parallel_path: bool,
-    regions: u64,
-    epochs: u64,
-    cross_pulses: u64,
-    horizon_stalls: u64,
-}
-
-fn measure_parallel<F: Fn() -> Bench>(build: F, threads_list: &[usize]) -> ParRow {
-    let bench = build();
-    let name = bench.name;
-    let mut sim = Simulation::new(bench.circuit);
-    let scalar_ev = sim.run().expect("clean");
-    let events = scalar_ev.pulse_count_all() as u64;
-    let scalar_median_ns = time_median(
-        || {
-            sim.run().expect("clean");
-        },
-        300.0,
-        5,
-    );
-    let threads = threads_list
-        .iter()
-        .map(|&t| {
-            // One instrumented run supplies the epoch/cross/stall counters
-            // and the bit-identity check; the timed loop runs with the
-            // telemetry handle disabled.
-            let tel = Telemetry::new();
-            let mut par = ParallelSim::new(build().circuit).threads(t).telemetry(&tel);
-            let ev = par.run().expect("clean");
-            assert_eq!(ev, scalar_ev, "{name}: partitioned run diverged at {t} threads");
-            let parallel_path = par.last_run_parallel();
-            let report = tel.report();
-            let disabled = Telemetry::disabled();
-            let mut par = par.telemetry(&disabled);
-            let median_ns = time_median(
-                || {
-                    par.run().expect("clean");
-                },
-                300.0,
-                5,
-            );
-            ParThreadRow {
-                threads: t,
-                median_ns,
-                parallel_path,
-                regions: report.gauge("par.regions"),
-                epochs: report.counter("par.epochs"),
-                cross_pulses: report.counter("par.cross_pulses"),
-                horizon_stalls: report.counter("par.horizon_stalls"),
-            }
-        })
-        .collect();
-    ParRow {
-        name,
-        events,
-        scalar_median_ns,
-        threads,
-    }
-}
-
 fn main() {
     let mut label = String::from("current");
-    let mut threads_list: Vec<usize> = vec![2, 4, 8];
-    let mut design_scale: usize = 32;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--threads" => {
-                let v = args.next().expect("--threads needs a comma-separated list");
-                threads_list = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes positive integers"))
-                    .collect();
-                assert!(!threads_list.is_empty(), "--threads list is empty");
-            }
-            "--design-scale" => {
-                let v = args.next().expect("--design-scale needs a value");
-                design_scale = v.parse().expect("--design-scale takes 16, 32, or 64");
-                assert!(
-                    matches!(design_scale, 16 | 32 | 64),
-                    "--design-scale takes 16, 32, or 64"
-                );
-            }
             flag if flag.starts_with("--") => panic!("unknown flag '{flag}'"),
             positional => label = positional.to_string(),
         }
@@ -611,8 +517,8 @@ fn main() {
     let sweep_ns_per_trial = sweep_ns / TRIALS as f64;
     let sweep_ns_per_event = sweep_ns_per_trial / adder_events.max(1) as f64;
 
-    // Batch sweep: per-trial-worker engine vs the batch kernel on
-    // the same high-trial-count Monte-Carlo workloads (both on all cores).
+    // Batch sweep: a per-trial simulation loop vs the sweep's lane kernel
+    // on the same high-trial-count Monte-Carlo workloads (one thread each).
     let build_adder8 = || {
         let mut c = Circuit::new();
         ripple_adder_with_inputs(&mut c, 8, 173, 99, false).expect("valid bench");
@@ -623,21 +529,6 @@ fn main() {
         measure_batch_sweep("ripple_adder_8bit", build_adder8, 100_000),
         measure_batch_sweep("bitonic_8", || bench_bitonic(8).circuit, 100_000),
     ];
-
-    // Conservative-parallel event loop: scalar vs partitioned medians on
-    // the scaled beyond-paper designs, per worker count. Every partitioned
-    // run is asserted bit-identical to the scalar events first.
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut par_rows: Vec<ParRow> =
-        vec![measure_parallel(|| bench_bitonic_waves(16, 6), &threads_list)];
-    if design_scale >= 32 {
-        par_rows.push(measure_parallel(|| bench_bitonic_waves(32, 8), &threads_list));
-        par_rows.push(measure_parallel(|| bench_wide_adder_xsfq(32), &threads_list));
-    }
-    if design_scale >= 64 {
-        par_rows.push(measure_parallel(|| bench_bitonic_waves(64, 8), &threads_list));
-        par_rows.push(measure_parallel(|| bench_wide_adder_xsfq(64), &threads_list));
-    }
 
     // Verification: PyLSE→TA translation of the 8-input bitonic sorter and
     // Query-2 model checking of the And cell (from benches/verification.rs).
@@ -706,6 +597,7 @@ fn main() {
     // the request scheduler at the canonical worker counts. On a 1-core
     // host the multi-worker rows measure scheduling overhead, not speedup;
     // host_cores is recorded so readers can judge.
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     const SERVE_CORPUS: usize = 200;
     let serve_corpus = rlse_serve::generated_requests(SERVE_CORPUS);
     let serve_rows = measure_serve_throughput(&serve_corpus, &[1, 2, 4, 8]);
@@ -803,41 +695,6 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
-    // Parallel event loop: scalar vs partitioned single-simulation medians.
-    // Speedups are only meaningful when host_cores covers the worker count;
-    // the scalar rows are retained so any host can recompute them.
-    out.push_str(&format!(
-        "  \"sim_parallel\": {{\"host_cores\": {host_cores}, \
-         \"design_scale\": {design_scale}, \"designs\": [\n"
-    ));
-    for (i, r) in par_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events_per_run\": {}, \
-             \"scalar_median_ns\": {:.0}, \"threads\": [\n",
-            r.name, r.events, r.scalar_median_ns
-        ));
-        for (j, t) in r.threads.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"threads\": {}, \"median_ns\": {:.0}, \"speedup\": {:.2}, \
-                 \"parallel_path\": {}, \"regions\": {}, \"epochs\": {}, \
-                 \"cross_pulses\": {}, \"horizon_stalls\": {}}}{}\n",
-                t.threads,
-                t.median_ns,
-                r.scalar_median_ns / t.median_ns.max(1e-9),
-                t.parallel_path,
-                t.regions,
-                t.epochs,
-                t.cross_pulses,
-                t.horizon_stalls,
-                if j + 1 == r.threads.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 == par_rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]},\n");
     out.push_str(&format!(
         "  \"verification\": {{\"translate_bitonic_8_median_ns\": {translate_ns:.0}, \
          \"model_check_query2_and_median_ns\": {mc_ns:.0},\n"

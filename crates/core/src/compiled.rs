@@ -297,33 +297,6 @@ impl CompiledMachine {
         self.n_inputs as usize
     }
 
-    /// Per-output minimum firing delay over every transition in the table
-    /// (`+∞` for outputs no transition fires). This is the machine's
-    /// *lookahead*: a pulse arriving at time `t` cannot produce a pulse on
-    /// output `o` earlier than `t + min_out_delays()[o]`, which is what the
-    /// conservative parallel event loop
-    /// ([`sim::parallel`](crate::sim::parallel)) uses to bound how far a
-    /// partition may safely run ahead of its neighbors.
-    pub(crate) fn min_out_delays(&self) -> Vec<f64> {
-        let mut min = vec![f64::INFINITY; self.outputs.len()];
-        for tr in &self.table {
-            for &(o, d) in &self.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
-                if d < min[o as usize] {
-                    min[o as usize] = d;
-                }
-            }
-        }
-        min
-    }
-
-    /// The smallest firing delay anywhere in the table (`+∞` if the machine
-    /// never fires). The parallel event loop requires this to be strictly
-    /// positive for every machine in the circuit — zero-delay firings would
-    /// collapse its cross-partition lookahead to nothing.
-    pub(crate) fn min_firing_delay(&self) -> f64 {
-        self.firings.iter().fold(f64::INFINITY, |m, &(_, d)| m.min(d))
-    }
-
     /// Number of `(state, input)` table rows.
     pub fn table_len(&self) -> usize {
         self.table.len()
@@ -366,8 +339,8 @@ pub(crate) enum CompiledNode {
 /// instances of the same spec), per-node dispatch info, interned names, and
 /// flat pulse-routing arrays. Built once per simulation by
 /// [`CompiledCircuit::compile`] and retained across
-/// [`Simulation::reset`](crate::sim::Simulation::reset), so Monte-Carlo
-/// sweep workers pay compilation once per circuit, not once per trial.
+/// [`Simulation::reset`](crate::sim::Simulation::reset), so a simulation
+/// reused across trials pays compilation once, not once per trial.
 #[derive(Debug)]
 pub struct CompiledCircuit {
     pub(crate) symbols: SymbolTable,

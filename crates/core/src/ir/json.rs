@@ -354,10 +354,11 @@ impl JsonValue {
     }
 
     /// The value as a non-negative integer, if it is a number with an exact
-    /// integral value.
+    /// integral value below 2^53. 2^53 itself is refused: `9007199254740993`
+    /// parses to the same `f64`, so it could not be read exactly.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 => {
                 Some(*n as usize)
             }
             _ => None,
@@ -562,5 +563,13 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(JsonValue::Num(1.5).as_usize(), None);
         assert_eq!(JsonValue::Num(-1.0).as_usize(), None);
+        // The largest exact integer is accepted; 2^53 is not, because
+        // 2^53 + 1 parses to the same value.
+        let max = JsonValue::parse("9007199254740991").unwrap();
+        assert_eq!(max.as_usize(), Some(9_007_199_254_740_991));
+        for aliased in ["9007199254740992", "9007199254740993"] {
+            let v = JsonValue::parse(aliased).unwrap();
+            assert_eq!(v.as_usize(), None, "{aliased}");
+        }
     }
 }

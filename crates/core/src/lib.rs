@@ -11,14 +11,16 @@
 //! * [`functional`] — behavioral "holes" mixing software models into pulse
 //!   circuits.
 //! * [`sim`] — the discrete-event simulator, with optional firing-delay
-//!   variability, and [`sim::parallel`] — the conservative-parallel epoch
-//!   loop that runs one large simulation across cores, bit-identical to the
-//!   scalar kernel.
+//!   variability. Its Fig. 6 step (batch gathering, dispatch, jitter) is
+//!   the one the sweep kernel runs too.
 //! * [`compiled`] — the one-time lowering of a circuit into flat dispatch
 //!   tables and interned names that makes the simulator's hot loop
 //!   allocation-free.
 //! * [`sweep`] — deterministically-seeded parallel Monte-Carlo sweeps over
-//!   a circuit under variability (the §5.2 / Fig. 13 experiments).
+//!   a circuit under variability (the §5.2 / Fig. 13 experiments): one
+//!   builder, whose structure-of-arrays lane kernel compiles the circuit
+//!   once and is bit-identical to one simulation per trial at any thread
+//!   count and batch width.
 //! * [`telemetry`] — zero-cost-when-disabled counters, spans, and timeline
 //!   export shared by the simulator, the sweep engine, and (via `rlse-ta`)
 //!   the model checker.
@@ -86,7 +88,6 @@ pub mod prelude {
     pub use crate::functional::Hole;
     pub use crate::ir::{CompiledCache, Ir, IrQuery};
     pub use crate::machine::{EdgeDef, Machine};
-    pub use crate::sim::parallel::ParallelSim;
     pub use crate::sim::{Simulation, TraceEntry, Variability};
     pub use crate::sweep::{OutputStats, Sweep, SweepError, SweepReport};
     pub use crate::telemetry::{Histogram, Telemetry, TelemetryReport};

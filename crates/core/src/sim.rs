@@ -18,19 +18,21 @@
 //! set, and the fired-output list. Strings are materialized only at the
 //! boundary: [`TraceEntry`] construction, timing diagnostics, and the final
 //! [`Events`] dictionary. Compiled tables survive [`Simulation::reset`], so
-//! Monte-Carlo sweep workers compile once per circuit, not once per trial.
+//! a simulation reused across trials compiles once, not once per trial.
+//!
+//! The Fig. 6 step itself — `pop_batch`, `dispatch` and `jitter` —
+//! is shared with the Monte-Carlo sweep's lane kernel
+//! ([`crate::sweep`]), so the semantics are written once.
 
 use crate::circuit::{Circuit, NodeKind};
-use crate::compiled::{CompiledCircuit, CompiledNode};
+use crate::compiled::{CompiledCircuit, CompiledMachine, CompiledNode};
 use crate::error::{Error, HoleError, Time, TimingViolation, ViolationKind};
 use crate::events::Events;
 use crate::telemetry::{CellTally, Telemetry};
-use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BinaryHeap;
-
-pub mod parallel;
+use std::sync::Arc;
 
 /// Per-firing propagation-delay variability (paper §5.2).
 ///
@@ -79,8 +81,9 @@ impl std::fmt::Debug for Variability {
 /// reproduce the nominal run **bit for bit**, and applying a `0·sample`
 /// term would not: the delay round-trips through `t + (fire − t)`, which is
 /// not an f64 identity. `0.0` marks a [`Custom`](Variability::Custom)
-/// model, which always calls the user closure. Shared by the scalar
-/// simulator and the batch sweep kernel so both resolve identically.
+/// model, which always calls the user closure. Shared by the simulator
+/// and the sweep's lane kernel (via [`for_each_sigma`]) so both resolve
+/// identically.
 pub(crate) fn resolve_sigma(v: &Variability, cell: &str) -> f64 {
     match v {
         Variability::Gaussian { std } => {
@@ -162,12 +165,16 @@ impl std::fmt::Display for TraceEntry {
     }
 }
 
+/// A pending pulse: delivered to input `port` of `node` at `time`. `seq`
+/// numbers pulses in push order within one run, so the heap order — a
+/// min-heap on `(time, node, seq)` — is strictly total and every engine
+/// pops the same sequence. Shared by the simulator and the sweep kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Pulse {
-    time: Time,
-    node: usize,
-    port: usize,
-    seq: u64,
+pub(crate) struct Pulse {
+    pub(crate) time: Time,
+    pub(crate) node: u32,
+    pub(crate) port: u32,
+    pub(crate) seq: u64,
 }
 
 impl Eq for Pulse {}
@@ -184,6 +191,179 @@ impl Ord for Pulse {
 impl PartialOrd for Pulse {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Execution counters a pulse kernel accumulates while pumping (only when
+/// telemetry is on), flushed once per run or per sweep worker. Every field
+/// but the heap peak is additive, so sums over trials do not depend on how
+/// trials were split across workers.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Counters {
+    pub(crate) dispatches: u64,
+    pub(crate) transitions: u64,
+    pub(crate) pushed: u64,
+    pub(crate) popped: u64,
+    pub(crate) wire: u64,
+    pub(crate) max_heap: usize,
+}
+
+impl Counters {
+    /// Add the counters under `keys` (dispatches, transitions, pushed,
+    /// popped, wire pulses) and raise the heap-depth peak `peak_key`.
+    pub(crate) fn flush(&self, tel: &Telemetry, keys: [&'static str; 5], peak_key: &'static str) {
+        tel.add_many(&[
+            (keys[0], self.dispatches),
+            (keys[1], self.transitions),
+            (keys[2], self.pushed),
+            (keys[3], self.popped),
+            (keys[4], self.wire),
+        ]);
+        tel.peak(peak_key, self.max_heap as u64);
+    }
+}
+
+/// Reusable per-dispatch buffers: the simultaneous-pulse batch (input
+/// ports in arrival order), the priority-order working set, and the fired
+/// `(output port, time)` list.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    pub(crate) batch: Vec<u32>,
+    rest: Vec<u32>,
+    pub(crate) fired: Vec<(u32, f64)>,
+}
+
+/// `getSimPulses` (Fig. 6): pop the earliest pending pulse and every other
+/// pulse for the same `(time, node)` into `batch`. Returns the batch's time
+/// and node, or `None` once the heap is empty or its earliest pulse lies
+/// beyond `until` (every later pulse does too).
+#[inline]
+pub(crate) fn pop_batch(
+    heap: &mut BinaryHeap<Pulse>,
+    batch: &mut Vec<u32>,
+    until: Option<Time>,
+) -> Option<(Time, usize)> {
+    let first = heap.pop()?;
+    if until.is_some_and(|u| first.time > u) {
+        return None;
+    }
+    batch.clear();
+    batch.push(first.port);
+    while let Some(p) = heap.peek() {
+        if p.time == first.time && p.node == first.node {
+            batch.push(heap.pop().expect("peeked").port);
+        } else {
+            break;
+        }
+    }
+    Some((first.time, first.node as usize))
+}
+
+/// Which Fig. 6 error transition a dispatch hit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Breach {
+    /// The batch arrived before the previous transition completed.
+    TransitionTime { tau_done: Time },
+    /// Input `input` was last seen at `last_seen`, closer than `required`.
+    Past {
+        input: u32,
+        required: Time,
+        last_seen: Time,
+    },
+}
+
+/// Dispatch (Fig. 6): feed the simultaneous-pulse batch in `scratch` to
+/// machine `m` at time `t`, handling inputs in priority order (lowest
+/// priority number first, ties broken by input index), and return the new
+/// `(q, τ_done)`. Fired outputs land in `scratch.fired` at nominal times.
+///
+/// Θ is read and written in place at `theta[base + input·stride]`: the
+/// simulator passes the node's Θ offset with stride 1, the sweep kernel
+/// its lane-major column with stride `W`. On an error transition the
+/// violating transition's id and the breach come back instead; Θ may then
+/// hold partial updates, which every caller discards with the run.
+#[inline]
+pub(crate) fn dispatch(
+    m: &CompiledMachine,
+    t: Time,
+    (mut q, mut td): (u32, Time),
+    theta: &mut [f64],
+    base: usize,
+    stride: usize,
+    scratch: &mut Scratch,
+) -> Result<(u32, Time), (u32, Breach)> {
+    let Scratch { batch, rest, fired } = scratch;
+    fired.clear();
+    rest.clear();
+    rest.extend_from_slice(batch);
+    while !rest.is_empty() {
+        let mut pos = 0usize;
+        let mut best = (m.transition(q, rest[0]).priority, rest[0]);
+        for (i, &p) in rest.iter().enumerate().skip(1) {
+            let key = (m.transition(q, p).priority, p);
+            if key < best {
+                pos = i;
+                best = key;
+            }
+        }
+        let sigma = rest.remove(pos);
+        let tr = *m.transition(q, sigma);
+        if t < td {
+            return Err((tr.id, Breach::TransitionTime { tau_done: td }));
+        }
+        for &(cin, dist) in &m.pasts[tr.past.0 as usize..tr.past.1 as usize] {
+            let last = theta[base + cin as usize * stride];
+            if t < last + dist {
+                let breach = Breach::Past {
+                    input: cin,
+                    required: dist,
+                    last_seen: last,
+                };
+                return Err((tr.id, breach));
+            }
+        }
+        q = tr.dst;
+        td = t + tr.tau_tran;
+        theta[base + sigma as usize * stride] = t;
+        for &(o, d) in &m.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
+            fired.push((o, t + d));
+        }
+    }
+    Ok((q, td))
+}
+
+/// Apply firing-delay variability (§5.2) in place to the pulses a batch at
+/// time `t` fired: Gaussian jitter of deviation `std` from the caller's RNG
+/// stream, or the user's `custom` model, clamped so no pulse fires before
+/// its cause.
+#[inline]
+pub(crate) fn jitter(
+    fired: &mut [(u32, f64)],
+    t: Time,
+    std: f64,
+    mut custom: Option<&mut CustomDelayFn>,
+    cell: &str,
+    rng: &mut StdRng,
+    bm: &mut BoxMuller,
+) {
+    for fo in fired.iter_mut() {
+        let nominal = fo.1 - t;
+        let actual = match custom.as_mut() {
+            Some(f) => f(nominal, cell, rng),
+            None => nominal + std * bm.sample(rng),
+        };
+        fo.1 = t + actual.max(0.0);
+    }
+}
+
+/// Call `f(node, σ)` for every machine node that takes jitter under `v`
+/// (see [`resolve_sigma`]; exempt instances, holes and sources are
+/// skipped). Shared by both kernels so they resolve per-node σ identically.
+pub(crate) fn for_each_sigma(cc: &CompiledCircuit, v: &Variability, mut f: impl FnMut(usize, f64)) {
+    for (node, cn) in cc.nodes.iter().enumerate() {
+        if let CompiledNode::Machine { exempt: false, .. } = cn {
+            f(node, resolve_sigma(v, cc.symbols.resolve(cc.cell[node])));
+        }
     }
 }
 
@@ -210,8 +390,8 @@ impl PartialOrd for Pulse {
 pub struct Simulation {
     circuit: Circuit,
     /// Built lazily on first `reset`/`run` and retained for the lifetime of
-    /// the simulation (the circuit is immutable while owned here), so sweep
-    /// workers compile once per circuit, not per trial. Held behind an
+    /// the simulation (the circuit is immutable while owned here), so a
+    /// simulation reused across trials compiles once. Held behind an
     /// `Arc` so a shared compiled form (e.g. from an
     /// [`ir::CompiledCache`](crate::ir::CompiledCache)) can be injected with
     /// [`with_compiled`](Simulation::with_compiled) instead of recompiled.
@@ -233,13 +413,10 @@ pub struct Simulation {
     // them per trial.
     wire_events: Vec<Vec<Time>>,
     heap: BinaryHeap<Pulse>,
-    // Scratch buffers reused across every dispatched batch: the
-    // simultaneous-pulse batch (input ports in arrival order), the dispatch
-    // working set, the fired-output list, the hole pulse-presence vector,
-    // and the per-node pre-resolved variability sigma (NaN = exempt).
-    batch: Vec<u32>,
-    rest: Vec<u32>,
-    fired: Vec<(u32, f64)>,
+    // Scratch buffers reused across every dispatched batch: the dispatch
+    // buffers, the hole pulse-presence vector, and the per-node
+    // pre-resolved variability sigma (NaN = exempt).
+    scratch: Scratch,
     present: Vec<bool>,
     var_std: Vec<f64>,
     // Telemetry: a shared handle (no-op when disabled), the timeline track
@@ -267,9 +444,7 @@ impl Simulation {
             theta: Vec::new(),
             wire_events: Vec::new(),
             heap: BinaryHeap::new(),
-            batch: Vec::new(),
-            rest: Vec::new(),
-            fired: Vec::new(),
+            scratch: Scratch::default(),
             present: Vec::new(),
             var_std: Vec::new(),
             telemetry: Telemetry::disabled(),
@@ -345,8 +520,8 @@ impl Simulation {
     }
 
     /// Set the timeline track (Chrome-trace lane) this simulation's spans
-    /// are recorded onto. Track 0 is the driving thread; sweep workers use
-    /// their 1-based worker index.
+    /// are recorded onto. Track 0 (the default) is the driving thread;
+    /// simulations run on worker threads should each get their own track.
     pub fn set_telemetry_track(&mut self, track: u32) {
         self.tel_track = track;
     }
@@ -473,6 +648,66 @@ impl Simulation {
             self.telemetry.record_span("sim.compile", self.tel_track, t0, 0);
         }
         let t_run = self.telemetry.now();
+        let mut n = Counters::default();
+        let outcome = self.pump(&mut n, tel_on);
+        if tel_on {
+            let tel = &self.telemetry;
+            tel.add("sim.runs", 1);
+            n.flush(
+                tel,
+                [
+                    "sim.dispatches",
+                    "sim.transitions",
+                    "sim.pulses_pushed",
+                    "sim.pulses_popped",
+                    "sim.wire_pulses",
+                ],
+                "sim.max_heap_depth",
+            );
+            match &outcome {
+                Err(Error::Timing(_)) => tel.add("sim.timing_violations", 1),
+                Err(_) => tel.add("sim.error_runs", 1),
+                Ok(()) => {}
+            }
+            let cc = self.compiled.as_deref().expect("compiled in reset");
+            for (node, tally) in self.tel_cells.iter().enumerate() {
+                tel.add_cell(cc.symbols.resolve(cc.cell[node]), tally);
+            }
+            if let Some(t0) = t_run {
+                tel.record_span("sim.run", self.tel_track, t0, n.dispatches);
+            }
+        }
+        outcome?;
+        Ok(self.events())
+    }
+
+    /// One run that tallies into the caller's `counters` (when `count`)
+    /// instead of the attached telemetry handle: the sweep's per-trial path.
+    pub(crate) fn run_counted(
+        &mut self,
+        counters: &mut Counters,
+        count: bool,
+    ) -> Result<Events, Error> {
+        self.circuit.check()?;
+        self.reset();
+        self.pump(counters, count)?;
+        Ok(self.events())
+    }
+
+    /// The recorded pulses of the last run, sorted per wire.
+    fn events(&mut self) -> Events {
+        for evs in self.wire_events.iter_mut() {
+            evs.sort_by(f64::total_cmp);
+        }
+        Events::from_wires(&self.circuit, &self.wire_events)
+    }
+
+    /// The discrete-event loop over freshly [`reset`](Self::reset) state:
+    /// seed the heap from the stimulus, then pop, dispatch and deliver
+    /// batches until the heap empties or passes the target time. Execution
+    /// counters go to `n` when `count` is set; per-cell tallies to the
+    /// telemetry scratch when a handle is attached.
+    fn pump(&mut self, n: &mut Counters, count: bool) -> Result<(), Error> {
         // Split the struct into disjoint field borrows so the circuit, the
         // compiled tables, the flat runtime state, and the scratch buffers
         // can be used together.
@@ -489,26 +724,19 @@ impl Simulation {
             theta,
             wire_events,
             heap,
-            batch,
-            rest,
-            fired,
+            scratch,
             present,
             var_std,
             telemetry,
-            tel_track,
             tel_cells,
+            ..
         } = self;
         let cc: &CompiledCircuit = compiled.as_deref().expect("compiled in reset");
-        if tel_on {
+        let cells_on = telemetry.is_enabled();
+        if cells_on {
             tel_cells.clear();
             tel_cells.resize(cc.nodes.len(), CellTally::default());
         }
-        let mut n_dispatches = 0u64;
-        let mut n_transitions = 0u64;
-        let mut n_pushed = 0u64;
-        let mut n_popped = 0u64;
-        let mut n_wire = 0u64;
-        let mut max_heap = 0usize;
         let until = *until;
         let trace_enabled = *trace_enabled;
         let mut rng = StdRng::seed_from_u64(*seed);
@@ -521,160 +749,76 @@ impl Simulation {
         // absent PerCellType entry). Custom models get a 0.0 marker and
         // call the user closure with the interned cell name. See
         // [`resolve_sigma`] for the σ = 0 bit-identity rationale.
-        let var_active = variability.is_some();
         var_std.clear();
-        if var_active {
+        if let Some(v) = variability.as_ref() {
             var_std.resize(cc.nodes.len(), f64::NAN);
-            for (i, cn) in cc.nodes.iter().enumerate() {
-                if let CompiledNode::Machine { exempt, .. } = cn {
-                    if *exempt {
-                        continue;
-                    }
-                    var_std[i] = resolve_sigma(
-                        variability.as_ref().expect("active"),
-                        cc.symbols.resolve(cc.cell[i]),
-                    );
-                }
-            }
+            for_each_sigma(cc, v, |node, sigma| var_std[node] = sigma);
         }
         let mut custom = match variability.as_mut() {
             Some(Variability::Custom(f)) => Some(f),
             _ => None,
         };
 
-        let record_ok = |t: Time, until: Option<Time>| until.is_none_or(|u| t <= u);
+        let record_ok = |t: Time| until.is_none_or(|u| t <= u);
 
-        // The whole event loop lives in one labeled block so every exit —
-        // normal completion and the three abort paths — funnels through the
-        // single telemetry flush below.
-        let outcome: Result<(), Error> = 'run: {
-        // Seed the heap from stimulus sources.
-        for node in circuit.nodes.iter() {
-            if let NodeKind::Source { pulses } = &node.kind {
-                let wire = node.out_wires[0];
-                for &t in pulses {
-                    if record_ok(t, until) {
-                        wire_events[wire].push(t);
-                        if tel_on {
-                            n_wire += 1;
-                        }
-                    }
-                    if let Some((sink, port)) = circuit.wires[wire].sink {
-                        heap.push(Pulse {
-                            time: t,
-                            node: sink.0,
-                            port,
-                            seq,
-                        });
-                        seq += 1;
-                        if tel_on {
-                            n_pushed += 1;
-                        }
-                    }
+        // Seed the heap from the stimulus schedule (source nodes in circuit
+        // order, pulses in declaration order).
+        for sp in &cc.stim {
+            if record_ok(sp.time) {
+                wire_events[sp.wire as usize].push(sp.time);
+                if count {
+                    n.wire += 1;
+                }
+            }
+            if sp.sink.0 != u32::MAX {
+                heap.push(Pulse {
+                    time: sp.time,
+                    node: sp.sink.0,
+                    port: sp.sink.1,
+                    seq,
+                });
+                seq += 1;
+                if count {
+                    n.pushed += 1;
                 }
             }
         }
-        if tel_on {
-            max_heap = heap.len();
+        if count {
+            n.max_heap = n.max_heap.max(heap.len());
         }
 
         // Main discrete-event loop.
-        while let Some(first) = heap.pop() {
-            if let Some(u) = until {
-                if first.time > u {
-                    break;
-                }
+        while let Some((t, node)) = pop_batch(heap, &mut scratch.batch, until) {
+            if count {
+                n.popped += scratch.batch.len() as u64;
+                n.dispatches += 1;
             }
-            // getSimPulses: gather all pulses with the same (time, node).
-            let node = first.node;
-            let t = first.time;
-            batch.clear();
-            batch.push(first.port as u32);
-            while let Some(p) = heap.peek() {
-                if p.time == t && p.node == node {
-                    batch.push(heap.pop().expect("peeked").port as u32);
-                } else {
-                    break;
-                }
-            }
-            if tel_on {
-                n_popped += batch.len() as u64;
-                n_dispatches += 1;
-            }
-            fired.clear();
             match cc.nodes[node] {
                 CompiledNode::Source => unreachable!("sources receive no pulses"),
                 CompiledNode::Machine { cm, theta_off, .. } => {
                     let m = &cc.machines[cm as usize];
-                    let th =
-                        &mut theta[theta_off as usize..theta_off as usize + m.n_inputs as usize];
-                    let mut q = states[node];
-                    let state_before = q;
-                    let mut td = tau_done[node];
-                    // Dispatch (Fig. 6): handle the batch in priority order
-                    // (lowest priority number first, ties broken by input
-                    // index), mutating κ in place. On a violation the run
-                    // aborts, so partial in-place updates never leak: the
-                    // next run resets the flat state.
-                    rest.clear();
-                    rest.extend_from_slice(batch);
-                    while !rest.is_empty() {
-                        let mut pos = 0usize;
-                        let mut best = (m.transition(q, rest[0]).priority, rest[0]);
-                        for (i, &p) in rest.iter().enumerate().skip(1) {
-                            let key = (m.transition(q, p).priority, p);
-                            if key < best {
-                                pos = i;
-                                best = key;
-                            }
-                        }
-                        let sigma = rest.remove(pos);
-                        let tr = *m.transition(q, sigma);
-                        if t < td {
-                            break 'run Err(violation(
-                                cc,
-                                m,
-                                node,
-                                batch,
-                                &tr,
-                                t,
-                                ViolationKind::TransitionTime { tau_done: td },
-                            )
-                            .into());
-                        }
-                        for &(cin, dist) in &m.pasts[tr.past.0 as usize..tr.past.1 as usize] {
-                            let last = th[cin as usize];
-                            if t < last + dist {
-                                break 'run Err(violation(
-                                    cc,
-                                    m,
-                                    node,
-                                    batch,
-                                    &tr,
-                                    t,
-                                    ViolationKind::PastConstraint {
-                                        constrained: cc
-                                            .symbols
-                                            .resolve(m.inputs[cin as usize])
-                                            .to_string(),
-                                        required: dist,
-                                        last_seen: last,
-                                    },
-                                )
-                                .into());
-                            }
-                        }
-                        q = tr.dst;
-                        td = t + tr.tau_tran;
-                        th[sigma as usize] = t;
-                        for &(o, d) in &m.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
-                            fired.push((o, t + d));
-                        }
-                    }
+                    let state_before = states[node];
+                    // On a violation the run aborts, so partial in-place
+                    // updates never leak: the next run resets the flat state.
+                    let stepped = dispatch(
+                        m,
+                        t,
+                        (state_before, tau_done[node]),
+                        theta,
+                        theta_off as usize,
+                        1,
+                        scratch,
+                    );
+                    let (q, td) = stepped.map_err(|(transition, breach)| {
+                        violation(cc, m, node, &scratch.batch, transition, t, breach)
+                    })?;
                     states[node] = q;
                     tau_done[node] = td;
-                    if tel_on {
-                        n_transitions += batch.len() as u64;
+                    let (batch, fired) = (&scratch.batch, &scratch.fired);
+                    if count {
+                        n.transitions += batch.len() as u64;
+                    }
+                    if cells_on {
                         let tc = &mut tel_cells[node];
                         tc.dispatches += 1;
                         tc.transitions += batch.len() as u64;
@@ -710,6 +854,7 @@ impl Simulation {
                     let NodeKind::Hole(hole) = &mut circuit.nodes[node].kind else {
                         unreachable!("compiled node kind matches circuit node kind")
                     };
+                    let (batch, fired) = (&scratch.batch, &mut scratch.fired);
                     present.clear();
                     present.resize(hole.inputs().len(), false);
                     for &p in batch.iter() {
@@ -717,7 +862,7 @@ impl Simulation {
                     }
                     let outs = hole.call(present, t);
                     if outs.len() != hole.outputs().len() {
-                        break 'run Err(HoleError::ArityMismatch {
+                        return Err(HoleError::ArityMismatch {
                             hole: hole.name().to_string(),
                             expected: hole.outputs().len(),
                             got: outs.len(),
@@ -725,12 +870,13 @@ impl Simulation {
                         .into());
                     }
                     let delay = hole.delay();
+                    fired.clear();
                     for (port, fire) in outs.into_iter().enumerate() {
                         if fire {
                             fired.push((port as u32, t + delay));
                         }
                     }
-                    if tel_on {
+                    if cells_on {
                         let tc = &mut tel_cells[node];
                         tc.dispatches += 1;
                         tc.fired += fired.len() as u64;
@@ -767,78 +913,47 @@ impl Simulation {
             }
             // Apply firing-delay variability in place (machines only; holes
             // and exempt/unmapped nodes have a NaN sigma).
-            if var_active {
-                let std = var_std[node];
-                if !std.is_nan() {
-                    for fo in fired.iter_mut() {
-                        let nominal = fo.1 - t;
-                        let actual = match custom.as_mut() {
-                            Some(f) => f(nominal, cc.symbols.resolve(cc.cell[node]), &mut rng),
-                            None => nominal + std * bm.sample(&mut rng),
-                        };
-                        fo.1 = t + actual.max(0.0);
-                    }
-                }
+            if let Some(&std) = var_std.get(node).filter(|s| !s.is_nan()) {
+                let cell = cc.symbols.resolve(cc.cell[node]);
+                jitter(
+                    &mut scratch.fired,
+                    t,
+                    std,
+                    custom.as_deref_mut(),
+                    cell,
+                    &mut rng,
+                    &mut bm,
+                );
             }
             // Deliver fired pulses through the flat routing arrays.
             let outs = cc.node_out_wires(node);
-            for &(port, t_out) in fired.iter() {
+            for &(port, t_out) in scratch.fired.iter() {
                 let wire = outs[port as usize] as usize;
-                if record_ok(t_out, until) {
+                if record_ok(t_out) {
                     wire_events[wire].push(t_out);
-                    if tel_on {
-                        n_wire += 1;
+                    if count {
+                        n.wire += 1;
                     }
                 }
                 let (sink, sport) = cc.sink[wire];
                 if sink != u32::MAX {
                     heap.push(Pulse {
                         time: t_out,
-                        node: sink as usize,
-                        port: sport as usize,
+                        node: sink,
+                        port: sport,
                         seq,
                     });
                     seq += 1;
-                    if tel_on {
-                        n_pushed += 1;
+                    if count {
+                        n.pushed += 1;
                     }
                 }
             }
-            if tel_on {
-                max_heap = max_heap.max(heap.len());
+            if count {
+                n.max_heap = n.max_heap.max(heap.len());
             }
         }
         Ok(())
-        }; // 'run
-
-        if tel_on {
-            telemetry.add_many(&[
-                ("sim.runs", 1),
-                ("sim.dispatches", n_dispatches),
-                ("sim.transitions", n_transitions),
-                ("sim.pulses_pushed", n_pushed),
-                ("sim.pulses_popped", n_popped),
-                ("sim.wire_pulses", n_wire),
-            ]);
-            telemetry.peak("sim.max_heap_depth", max_heap as u64);
-            match &outcome {
-                Err(Error::Timing(_)) => telemetry.add("sim.timing_violations", 1),
-                Err(_) => telemetry.add("sim.error_runs", 1),
-                Ok(()) => {}
-            }
-            for (node, tally) in tel_cells.iter().enumerate() {
-                telemetry.add_cell(cc.symbols.resolve(cc.cell[node]), tally);
-            }
-            if let Some(t0) = t_run {
-                telemetry.record_span("sim.run", *tel_track, t0, n_dispatches);
-            }
-        }
-        outcome?;
-
-        for evs in wire_events.iter_mut() {
-            evs.sort_by(f64::total_cmp);
-        }
-        Ok(Events::from_wires(circuit, wire_events))
     }
 }
 
@@ -847,17 +962,29 @@ impl Simulation {
 #[cold]
 fn violation(
     cc: &CompiledCircuit,
-    m: &crate::compiled::CompiledMachine,
+    m: &CompiledMachine,
     node: usize,
     batch: &[u32],
-    tr: &crate::compiled::CompiledTransition,
+    transition: u32,
     tau_arr: Time,
-    kind: ViolationKind,
-) -> TimingViolation {
+    breach: Breach,
+) -> Error {
+    let kind = match breach {
+        Breach::TransitionTime { tau_done } => ViolationKind::TransitionTime { tau_done },
+        Breach::Past {
+            input,
+            required,
+            last_seen,
+        } => ViolationKind::PastConstraint {
+            constrained: cc.symbols.resolve(m.inputs[input as usize]).to_string(),
+            required,
+            last_seen,
+        },
+    };
     TimingViolation {
         machine: cc.symbols.resolve(m.name).to_string(),
         node_wire: cc.symbols.resolve(cc.node_wire[node]).to_string(),
-        transition: tr.id as usize,
+        transition: transition as usize,
         inputs: batch
             .iter()
             .map(|&p| cc.symbols.resolve(m.inputs[p as usize]).to_string())
@@ -865,6 +992,7 @@ fn violation(
         tau_arr,
         kind,
     }
+    .into()
 }
 
 #[cfg(test)]

@@ -9,15 +9,16 @@
 //! same jitter stream no matter which thread runs it or how many threads
 //! exist. Per-trial statistics are reduced on the driving thread in trial
 //! order, so the aggregated [`SweepReport`] is **bit-identical** for a given
-//! master seed at any thread count.
+//! master seed at any thread count and any batch width.
 //!
-//! Each worker builds the circuit **once** and then reuses the simulation
-//! across its trials via [`Simulation::reset`], which keeps the pulse heap,
-//! event buffers, and machine-configuration vector allocated — the hot-path
-//! win over the naive rebuild-per-trial loop. Because reset retains the
-//! [compiled dispatch tables](crate::compiled) as well, each worker pays
-//! circuit compilation exactly once; every trial after the first runs the
-//! allocation-free steady-state kernel.
+//! Trials run in blocks of [`batch_width`](Sweep::batch_width) consecutive
+//! trials, dealt round-robin to the workers and stitched back into trial
+//! order. A hole-free circuit is compiled once per sweep and each block
+//! runs on the structure-of-arrays lane kernel. Circuits containing
+//! [`Hole`](crate::functional::Hole) nodes run each trial on a reused
+//! [`Simulation`] instead, since hole closures may carry arbitrary internal
+//! state that lane-blocked execution would corrupt. That per-trial loop is
+//! also the reference the lane kernel is tested against.
 //!
 //! ```
 //! use rlse_core::prelude::*;
@@ -49,12 +50,12 @@
 use crate::circuit::{Circuit, NodeKind};
 use crate::error::{Error, Time};
 use crate::events::Events;
-use crate::sim::{Simulation, Variability};
+use crate::sim::{Counters, Simulation, Variability};
 use crate::telemetry::Telemetry;
 
-pub mod batch;
+mod lanes;
 
-pub use batch::BatchSweep;
+use lanes::{Kernel, Plan};
 
 /// SplitMix64 finalizer: derive the RNG seed of trial `trial` from the
 /// sweep's master seed. A pure function of `(master, trial)`, so the
@@ -191,7 +192,7 @@ impl TrialOutcome {
 }
 
 /// The pass/fail classification of one trial, as exposed by
-/// [`Sweep::run_detailed`] and [`BatchSweep::run_detailed`](batch::BatchSweep::run_detailed).
+/// [`Sweep::run_detailed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialVerdict {
     /// Clean simulation, check passed (or no check installed).
@@ -221,8 +222,7 @@ pub struct TrialDetail {
 /// Per-trial results of a sweep (see [`Sweep::run_detailed`]): the
 /// differential-testing view, where every verdict and pulse time is exposed
 /// instead of aggregated. Comparable with `==`; equal inputs produce
-/// bit-identical details regardless of engine, thread count, or batch
-/// width.
+/// bit-identical details regardless of thread count or batch width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepDetails {
     /// Observed output names, sorted ascending.
@@ -315,13 +315,13 @@ fn observed_names(probe: &Circuit) -> Vec<String> {
 }
 
 /// Serial, trial-ordered reduction of per-trial outcomes into a
-/// [`SweepReport`]. Shared by the scalar and batch engines: both feed it
-/// outcomes in trial order, so the floating-point accumulation order — and
-/// therefore the report — is bitwise-equal whenever the outcomes are.
-fn reduce(names: Vec<String>, trials: u64, records: &[TrialOutcome]) -> SweepReport {
+/// [`SweepReport`]. Both engines feed it outcomes in trial order, so the
+/// floating-point accumulation order — and therefore the report — is
+/// bitwise-equal whenever the outcomes are.
+fn reduce(names: Vec<String>, trials: u64, records: &[Trial]) -> SweepReport {
     let mut accs: Vec<OutAcc> = vec![OutAcc::empty(); names.len()];
     let (mut ok, mut check_failures, mut timing, mut other) = (0u64, 0u64, 0u64, 0u64);
-    for rec in records {
+    for (rec, _) in records {
         match rec {
             TrialOutcome::Done {
                 per_output,
@@ -377,6 +377,10 @@ fn reduce(names: Vec<String>, trials: u64, records: &[TrialOutcome]) -> SweepRep
 /// The boxed per-trial acceptance predicate installed by [`Sweep::check`].
 type CheckFn<'a> = Box<dyn Fn(&Events) -> bool + Sync + 'a>;
 
+/// One trial's outcome and, on detailed runs of clean trials, its pulse
+/// times per observed output (empty otherwise).
+type Trial = (TrialOutcome, Vec<Vec<Time>>);
+
 /// A deterministically-seeded, parallel Monte-Carlo sweep builder.
 ///
 /// See the [module docs](self) for the determinism contract and an example.
@@ -387,6 +391,7 @@ pub struct Sweep<'a> {
     trials: u64,
     master_seed: u64,
     threads: usize,
+    batch_width: usize,
     until: Option<Time>,
     telemetry: Telemetry,
 }
@@ -397,14 +402,101 @@ impl std::fmt::Debug for Sweep<'_> {
             .field("trials", &self.trials)
             .field("master_seed", &self.master_seed)
             .field("threads", &self.threads)
+            .field("batch_width", &self.batch_width)
             .field("until", &self.until)
             .finish_non_exhaustive()
     }
 }
 
+/// What every block of one sweep execution reads.
+struct Job<'s, 'a> {
+    sweep: &'s Sweep<'a>,
+    /// Observed output names, sorted ascending.
+    names: &'s [String],
+    /// Keep each clean trial's pulse times (detailed runs).
+    want_outputs: bool,
+    /// Tally execution counters (telemetry is on).
+    count: bool,
+}
+
+/// A worker's trial engine.
+enum Engine<'p> {
+    /// The lane kernel over the sweep's shared compiled plan.
+    Lanes(Kernel<'p>),
+    /// One reused simulation, one run per trial.
+    Trials(Simulation),
+}
+
+impl Engine<'_> {
+    fn run_block(
+        &mut self,
+        job: &Job,
+        first_trial: u64,
+        lanes: usize,
+        n: &mut Counters,
+        out: &mut Vec<Trial>,
+    ) {
+        match self {
+            Engine::Lanes(kernel) => kernel.run_block(job, first_trial, lanes, n, out),
+            Engine::Trials(sim) => {
+                for trial in first_trial..first_trial + lanes as u64 {
+                    out.push(run_trial(sim, job, trial, n));
+                }
+            }
+        }
+    }
+}
+
+/// Run one trial on a reused simulation, seeded and configured exactly as
+/// the lane kernel configures a lane. Pure in `(sweep, trial)`.
+fn run_trial(sim: &mut Simulation, job: &Job, trial: u64, counters: &mut Counters) -> Trial {
+    let sweep = job.sweep;
+    sim.set_seed(trial_seed(sweep.master_seed, trial));
+    if let Some(v) = &sweep.variability {
+        sim.set_variability(Some(v()));
+    }
+    match sim.run_counted(counters, job.count) {
+        Ok(events) => {
+            let per_output = job
+                .names
+                .iter()
+                .map(|n| OutAcc::of(events.times(n)))
+                .collect();
+            let check_ok = sweep.check.as_ref().is_none_or(|c| c(&events));
+            let outputs = if job.want_outputs {
+                job.names.iter().map(|n| events.times(n).to_vec()).collect()
+            } else {
+                Vec::new()
+            };
+            let outcome = TrialOutcome::Done {
+                per_output,
+                check_ok,
+            };
+            (outcome, outputs)
+        }
+        Err(Error::Timing(_)) => (TrialOutcome::Timing, Vec::new()),
+        Err(_) => (TrialOutcome::Other, Vec::new()),
+    }
+}
+
+/// The per-trial view of stitched trials.
+fn details(names: Vec<String>, trials: Vec<Trial>) -> SweepDetails {
+    let trials = trials
+        .into_iter()
+        .enumerate()
+        .map(|(i, (outcome, outputs))| TrialDetail {
+            trial: i as u64,
+            verdict: outcome.verdict(),
+            outputs,
+        })
+        .collect();
+    SweepDetails { names, trials }
+}
+
 impl<'a> Sweep<'a> {
     /// Start a sweep over the circuit produced by `build`. The builder is
-    /// called once per worker thread (not once per trial); it must be
+    /// called once for the probe build, plus once per worker thread when
+    /// the circuit contains holes (never once per trial); it must be
     /// deterministic — every call must produce the same circuit.
     pub fn over(build: impl Fn() -> Circuit + Sync + 'a) -> Self {
         Sweep {
@@ -414,17 +506,21 @@ impl<'a> Sweep<'a> {
             trials: 100,
             master_seed: 0,
             threads: 0,
+            batch_width: 16,
             until: None,
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Attach a [`Telemetry`] handle. Every worker's simulation flushes its
-    /// counters into it (summed over trials, so the resulting
-    /// [`TelemetryReport`](crate::telemetry::TelemetryReport) is
-    /// bit-identical at any thread count), workers record per-worker spans
-    /// on 1-based timeline tracks, and the sweep itself adds `sweep.*`
-    /// counters plus a `sweep.run` span on track 0.
+    /// Attach a [`Telemetry`] handle. Workers flush the kernel counters
+    /// `sweep.{blocks,dispatches,transitions,pulses_pushed,pulses_popped,
+    /// wire_pulses}` and the `sweep.max_heap_depth` peak (additive over
+    /// blocks, so totals are bit-identical at any thread count) and record
+    /// `sweep.worker` spans on 1-based timeline tracks; the sweep adds the
+    /// `sweep.{runs,trials,ok,check_failures,timing_violations,
+    /// other_errors}` verdict counters and a `sweep.run` span on track 0.
+    /// `wire_pulses` counts pulses recorded on observed wires (on every
+    /// wire for hole circuits, whose trials keep full event dictionaries).
     pub fn telemetry(mut self, tel: &Telemetry) -> Self {
         self.telemetry = tel.clone();
         self
@@ -451,6 +547,16 @@ impl<'a> Sweep<'a> {
         self
     }
 
+    /// Set the batch width `W`: how many consecutive trials (lanes) one
+    /// block advances over one shared set of dense arrays (default 16).
+    /// Wider blocks amortize block setup over more lanes but touch more
+    /// state per cell; like the thread count, the width can never change
+    /// the results, only the wall clock.
+    pub fn batch_width(mut self, width: usize) -> Self {
+        self.batch_width = width.max(1);
+        self
+    }
+
     /// Simulate each trial only until the given time (required for circuits
     /// with feedback loops).
     pub fn until(mut self, t: Time) -> Self {
@@ -468,48 +574,142 @@ impl<'a> Sweep<'a> {
 
     /// Add a per-trial output check (e.g. "outputs are rank-ordered"); a
     /// clean simulation whose events fail the check counts as a
-    /// `check_failure` instead of `ok`.
+    /// `check_failure` instead of `ok`. On hole-free circuits the check
+    /// sees an events dictionary of the **observed** wires only; checks
+    /// that read named wires — the supported contract — see the same data
+    /// on every path.
     pub fn check(mut self, check: impl Fn(&Events) -> bool + Sync + 'a) -> Self {
         self.check = Some(Box::new(check));
         self
     }
 
-    fn effective_threads(&self) -> usize {
+    fn effective_threads(&self, n_blocks: usize) -> usize {
         let t = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.threads
         };
-        // No point spawning more workers than trials.
-        t.min(self.trials.max(1) as usize)
+        // No point spawning more workers than blocks.
+        t.min(n_blocks)
     }
 
-    /// Run one trial on a reusable simulation. Pure in `(sweep, trial)`.
-    fn run_trial(&self, sim: &mut Simulation, trial: u64, names: &[String]) -> TrialOutcome {
-        sim.set_seed(trial_seed(self.master_seed, trial));
-        if let Some(v) = &self.variability {
-            sim.set_variability(Some(v()));
+    /// Probe the builder, pick the engine (the lane kernel unless
+    /// `per_trial` is set or the circuit has holes), deal blocks of
+    /// `batch_width` trials round-robin to the workers, stitch the results
+    /// back into trial order, and reduce them serially — so floating-point
+    /// accumulation order, and with it the report, is fixed.
+    fn execute(
+        &self,
+        per_trial: bool,
+        want_outputs: bool,
+    ) -> Result<(SweepReport, Vec<String>, Vec<Trial>), SweepError> {
+        let probe = (self.build)();
+        probe.check().expect("sweep circuit builder must be valid");
+        let v = self.variability.as_ref().map(|f| f());
+        validate_variability(v.as_ref(), &probe)?;
+        let names = observed_names(&probe);
+        let has_holes = probe
+            .nodes
+            .iter()
+            .any(|n| matches!(n.kind, NodeKind::Hole(_)));
+        let plan = (!per_trial && !has_holes).then(|| Plan::new(&probe, &names));
+        drop(probe);
+
+        let t_sweep = self.telemetry.now();
+        let tel_on = self.telemetry.is_enabled();
+        let job = Job {
+            sweep: self,
+            names: &names,
+            want_outputs,
+            count: tel_on,
+        };
+        let width = self.batch_width;
+        let n_blocks = (self.trials as usize).div_ceil(width);
+        let threads = self.effective_threads(n_blocks);
+        let mut per_worker: Vec<Vec<Vec<Trial>>> = std::thread::scope(|scope| {
+            let (job, plan) = (&job, plan.as_ref());
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    scope.spawn(move || {
+                        let mut engine = match plan {
+                            Some(plan) => Engine::Lanes(Kernel::new(plan, width, job)),
+                            None => {
+                                let mut sim = Simulation::new((self.build)());
+                                sim.set_until(self.until);
+                                Engine::Trials(sim)
+                            }
+                        };
+                        let t_worker = self.telemetry.now();
+                        let mut n = Counters::default();
+                        let mut blocks = Vec::new();
+                        let mut done = 0u64;
+                        // Deterministic round-robin deal: worker w gets
+                        // blocks w, w+T, w+2T, …
+                        for b in (w..n_blocks).step_by(threads) {
+                            let lanes = width.min(self.trials as usize - b * width);
+                            let mut out = Vec::with_capacity(lanes);
+                            engine.run_block(job, (b * width) as u64, lanes, &mut n, &mut out);
+                            blocks.push(out);
+                            done += lanes as u64;
+                        }
+                        if tel_on {
+                            let tel = &self.telemetry;
+                            tel.add("sweep.blocks", blocks.len() as u64);
+                            n.flush(
+                                tel,
+                                [
+                                    "sweep.dispatches",
+                                    "sweep.transitions",
+                                    "sweep.pulses_pushed",
+                                    "sweep.pulses_popped",
+                                    "sweep.wire_pulses",
+                                ],
+                                "sweep.max_heap_depth",
+                            );
+                            if let Some(t0) = t_worker {
+                                tel.record_span("sweep.worker", w as u32 + 1, t0, done);
+                            }
+                        }
+                        blocks
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sweep worker panicked"))
+                .collect()
+        });
+        // Stitch: global block b was worker (b mod T)'s next block, so
+        // popping each worker's results in deal order restores trial order.
+        for blocks in per_worker.iter_mut() {
+            blocks.reverse();
         }
-        match sim.run() {
-            Ok(events) => {
-                let per_output = names.iter().map(|n| OutAcc::of(events.times(n))).collect();
-                let check_ok = self.check.as_ref().is_none_or(|c| c(&events));
-                TrialOutcome::Done {
-                    per_output,
-                    check_ok,
-                }
+        let mut trials = Vec::with_capacity(self.trials as usize);
+        for b in 0..n_blocks {
+            let block = per_worker[b % threads].pop();
+            trials.extend(block.expect("one result per dealt block"));
+        }
+
+        let report = reduce(names.clone(), self.trials, &trials);
+        if tel_on {
+            // Verdict counters come from the serial reduction, so they are
+            // as deterministic as the report itself.
+            self.telemetry.add_many(&[
+                ("sweep.runs", 1),
+                ("sweep.trials", self.trials),
+                ("sweep.ok", report.ok),
+                ("sweep.check_failures", report.check_failures),
+                ("sweep.timing_violations", report.timing_violations),
+                ("sweep.other_errors", report.other_errors),
+            ]);
+            if let Some(t0) = t_sweep {
+                self.telemetry.record_span("sweep.run", 0, t0, self.trials);
             }
-            Err(Error::Timing(_)) => TrialOutcome::Timing,
-            Err(_) => TrialOutcome::Other,
         }
+        Ok((report, names, trials))
     }
 
     /// Execute the sweep and aggregate the per-trial results.
-    ///
-    /// Trials are split into contiguous chunks, one per worker; workers
-    /// return their chunk's outcomes, which are folded on the calling thread
-    /// in trial order. Floating-point accumulation order is therefore fixed,
-    /// making the report bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -535,85 +735,12 @@ impl<'a> Sweep<'a> {
     ///
     /// Panics if the circuit builder produces an ill-formed circuit.
     pub fn try_run(&self) -> Result<SweepReport, SweepError> {
-        // Probe build: capture the observed-output name list (sorted, which
-        // matches the Events BTreeMap order) shared by every trial.
-        let probe = (self.build)();
-        probe.check().expect("sweep circuit builder must be valid");
-        let v = self.variability.as_ref().map(|f| f());
-        validate_variability(v.as_ref(), &probe)?;
-        let names = observed_names(&probe);
-        drop(probe);
-
-        let t_sweep = self.telemetry.now();
-        let threads = self.effective_threads();
-        let chunk = (self.trials as usize).div_ceil(threads.max(1)).max(1) as u64;
-        let mut records: Vec<TrialOutcome> = Vec::with_capacity(self.trials as usize);
-        std::thread::scope(|scope| {
-            let names = &names;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = (w as u64) * chunk;
-                    let hi = (lo + chunk).min(self.trials);
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity((hi.saturating_sub(lo)) as usize);
-                        if lo >= hi {
-                            return out;
-                        }
-                        let mut sim = Simulation::new((self.build)());
-                        sim.set_until(self.until);
-                        // Workers flush into the shared handle; their
-                        // counters are additive over trials, so the merged
-                        // totals cannot depend on the trial→worker split.
-                        let track = w as u32 + 1;
-                        sim.set_telemetry(&self.telemetry);
-                        sim.set_telemetry_track(track);
-                        let t_worker = self.telemetry.now();
-                        for trial in lo..hi {
-                            out.push(self.run_trial(&mut sim, trial, names));
-                        }
-                        if let Some(t0) = t_worker {
-                            self.telemetry
-                                .record_span("sweep.worker", track, t0, hi - lo);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                records.extend(h.join().expect("sweep worker panicked"));
-            }
-        });
-
-        // Serial, trial-ordered reduction.
-        let report = reduce(names, self.trials, &records);
-
-        if self.telemetry.is_enabled() {
-            // Sweep-level counters come from the serial reduction, so they
-            // are as deterministic as the report itself.
-            self.telemetry.add_many(&[
-                ("sweep.runs", 1),
-                ("sweep.trials", self.trials),
-                ("sweep.ok", report.ok),
-                ("sweep.check_failures", report.check_failures),
-                ("sweep.timing_violations", report.timing_violations),
-                ("sweep.other_errors", report.other_errors),
-            ]);
-            if let Some(t0) = t_sweep {
-                self.telemetry.record_span("sweep.run", 0, t0, self.trials);
-            }
-        }
-
-        Ok(report)
+        Ok(self.execute(false, false)?.0)
     }
 
     /// Run every trial and return its individual verdict and output pulse
-    /// times instead of the aggregate — the reference view the batch
-    /// kernel's differential tests compare against.
-    ///
-    /// Per-trial results are pure functions of `(sweep, trial)` — the
-    /// determinism property [`run`](Self::run) parallelizes over — so this
-    /// runs serially on the calling thread; thread count cannot change the
-    /// outcome, only [`run`]'s wall clock.
+    /// times instead of the aggregate — the view the differential tests
+    /// compare, bit-identical at any thread count and batch width.
     ///
     /// # Panics
     ///
@@ -635,45 +762,21 @@ impl<'a> Sweep<'a> {
     ///
     /// Panics if the circuit builder produces an ill-formed circuit.
     pub fn try_run_detailed(&self) -> Result<SweepDetails, SweepError> {
-        let probe = (self.build)();
-        probe.check().expect("sweep circuit builder must be valid");
-        let v = self.variability.as_ref().map(|f| f());
-        validate_variability(v.as_ref(), &probe)?;
-        let names = observed_names(&probe);
-        drop(probe);
+        let (_, names, trials) = self.execute(false, true)?;
+        Ok(details(names, trials))
+    }
 
-        let mut sim = Simulation::new((self.build)());
-        sim.set_until(self.until);
-        let mut trials = Vec::with_capacity(self.trials as usize);
-        for trial in 0..self.trials {
-            sim.set_seed(trial_seed(self.master_seed, trial));
-            if let Some(v) = &self.variability {
-                sim.set_variability(Some(v()));
-            }
-            let (verdict, outputs) = match sim.run() {
-                Ok(events) => {
-                    let outputs: Vec<Vec<Time>> =
-                        names.iter().map(|n| events.times(n).to_vec()).collect();
-                    let ok = self.check.as_ref().is_none_or(|c| c(&events));
-                    (
-                        if ok {
-                            TrialVerdict::Ok
-                        } else {
-                            TrialVerdict::CheckFailed
-                        },
-                        outputs,
-                    )
-                }
-                Err(Error::Timing(_)) => (TrialVerdict::Timing, Vec::new()),
-                Err(_) => (TrialVerdict::Other, Vec::new()),
-            };
-            trials.push(TrialDetail {
-                trial,
-                verdict,
-                outputs,
-            });
-        }
-        Ok(SweepDetails { names, trials })
+    /// The test oracle: the report and per-trial details of the same sweep
+    /// run entirely on the per-trial [`Simulation`] path, whatever the
+    /// circuit. Every sweep must be bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run).
+    #[doc(hidden)]
+    pub fn run_reference(&self) -> (SweepReport, SweepDetails) {
+        let (report, names, trials) = self.execute(true, true).unwrap_or_else(|e| panic!("{e}"));
+        (report, details(names, trials))
     }
 }
 
@@ -780,13 +883,6 @@ mod tests {
             .try_run_detailed()
             .unwrap_err();
         assert_eq!(detailed, err);
-        let build = chain_builder();
-        let batch = BatchSweep::over(&build)
-            .variability(vars)
-            .trials(4)
-            .try_run()
-            .unwrap_err();
-        assert_eq!(batch, err);
     }
 
     #[test]
@@ -905,8 +1001,11 @@ mod tests {
         assert_eq!(serial.to_json(), parallel.to_json());
         assert_eq!(serial.counter("sweep.trials"), 64);
         assert_eq!(serial.counter("sweep.ok"), 64);
-        assert_eq!(serial.counter("sim.runs"), 64);
-        assert!(serial.counter("sim.dispatches") > 0);
+        assert_eq!(serial.counter("sweep.blocks"), 4);
+        assert!(serial.counter("sweep.dispatches") > 0);
+        // A sweep runs no per-trial `Simulation`, so it records one
+        // counter set: no `sim.*` keys.
+        assert!(serial.counters_with_prefix("sim.").is_empty());
     }
 
     #[test]
@@ -924,5 +1023,429 @@ mod tests {
         // Only the first pulse (t=20) fits under until=25.
         assert_eq!(q.pulses, 4);
         assert_eq!(q.max, 20.0);
+    }
+
+    fn splitter() -> Arc<Machine> {
+        Machine::new(
+            "S",
+            &["a"],
+            &["l", "r"],
+            4.3,
+            3,
+            &[EdgeDef {
+                src: "idle",
+                trigger: "a",
+                dst: "idle",
+                firing: "l,r",
+                ..Default::default()
+            }],
+        )
+        .unwrap()
+    }
+
+    fn merger() -> Arc<Machine> {
+        Machine::new(
+            "M",
+            &["a", "b"],
+            &["q"],
+            6.3,
+            5,
+            &[
+                EdgeDef {
+                    src: "idle",
+                    trigger: "a",
+                    dst: "idle",
+                    firing: "q",
+                    ..Default::default()
+                },
+                EdgeDef {
+                    src: "idle",
+                    trigger: "b",
+                    dst: "idle",
+                    firing: "q",
+                    ..Default::default()
+                },
+            ],
+        )
+        .unwrap()
+    }
+
+    /// A small fan-out/fan-in circuit with two observed outputs and an
+    /// anonymous internal wire — enough structure to exercise batching,
+    /// routing, and multi-output recording.
+    fn diamond_builder() -> impl Fn() -> Circuit + Sync {
+        move || {
+            let mut c = Circuit::new();
+            let a = c.inp_at(&[10.0, 30.0, 55.0], "A");
+            let outs = c.add_machine(&splitter(), &[a]).unwrap();
+            let l = c.add_machine(&jtl(5.0), &[outs[0]]).unwrap()[0];
+            let r = c.add_machine(&jtl(7.7), &[outs[1]]).unwrap()[0];
+            c.inspect(l, "L");
+            c.inspect(r, "R");
+            c
+        }
+    }
+
+    /// A feedback loop (merger → splitter → JTL → back into the merger)
+    /// that pulses forever: only `until` ends its trials.
+    fn ring_builder() -> impl Fn() -> Circuit + Sync {
+        move || {
+            let mut c = Circuit::new();
+            let seed = c.inp_at(&[10.0], "SEED");
+            let back = c.loopback_wire();
+            let m = c.add_machine(&merger(), &[seed, back]).unwrap()[0];
+            let outs = c.add_machine(&splitter(), &[m]).unwrap();
+            let r = c.add_machine(&jtl(5.0), &[outs[1]]).unwrap()[0];
+            c.close_loop(r, back).unwrap();
+            c.inspect(outs[0], "TAP");
+            c
+        }
+    }
+
+    /// A pass-through hole, so the sweep takes the per-trial path.
+    fn hole_builder() -> impl Fn() -> Circuit + Sync {
+        || {
+            use crate::functional::Hole;
+            let mut c = Circuit::new();
+            let a = c.inp_at(&[10.0, 20.0], "A");
+            let h = Hole::new("pass", 1.5, &["a"], &["q"], |present: &[bool], _t| {
+                vec![present[0]]
+            });
+            let h = c.add_hole(h, &[a]).unwrap()[0];
+            let q = c.add_machine(&jtl(5.0), &[h]).unwrap()[0];
+            c.inspect(q, "Q");
+            c
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_reference_across_widths_and_threads() {
+        let build = diamond_builder();
+        let sweep = || {
+            Sweep::over(&build)
+                .variability(|| Variability::Gaussian { std: 0.4 })
+                .trials(64)
+                .master_seed(7)
+        };
+        let (reference, _) = sweep().run_reference();
+        for width in [1, 3, 16, 64, 100] {
+            for threads in [1, 4] {
+                let report = sweep().threads(threads).batch_width(width).run();
+                assert_eq!(report, reference, "width={width} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn detailed_runs_are_bit_identical_to_reference() {
+        let build = diamond_builder();
+        let sweep = || {
+            Sweep::over(&build)
+                .variability(|| Variability::Gaussian { std: 0.6 })
+                .trials(33)
+                .master_seed(3)
+        };
+        let (_, reference) = sweep().run_reference();
+        for width in [1, 7, 64] {
+            let details = sweep().batch_width(width).threads(4).run_detailed();
+            assert_eq!(details, reference, "width={width}");
+        }
+    }
+
+    /// Sweep `build` under `until` with a check, against the reference;
+    /// `out` must see exactly `pulses` pulses in total.
+    fn assert_until_matches(
+        build: impl Fn() -> Circuit + Sync,
+        until: f64,
+        out: &str,
+        pulses: u64,
+    ) {
+        let sweep = || {
+            Sweep::over(&build)
+                .variability(|| Variability::Gaussian { std: 0.3 })
+                .trials(40)
+                .master_seed(11)
+                .until(until)
+                .check(|ev| ev.times("L").len() == ev.times("R").len())
+                .batch_width(7)
+        };
+        let (reference, details) = sweep().run_reference();
+        assert_eq!(sweep().run(), reference, "until={until}");
+        assert_eq!(sweep().run_detailed(), details, "until={until}");
+        // The cutoff actually bit: a bounded pulse count per trial.
+        assert_eq!(reference.output(out).unwrap().pulses, pulses, "{out}");
+    }
+
+    #[test]
+    fn check_and_until_match_reference() {
+        // A feed-forward diamond whose third stimulus pulse the cutoff
+        // drops, and a feedback ring that only `until` stops.
+        assert_until_matches(diamond_builder(), 45.0, "L", 2 * 40);
+        assert_until_matches(ring_builder(), 120.0, "TAP", 7 * 40);
+    }
+
+    #[test]
+    fn stateful_custom_variability_matches_reference() {
+        // A stateful custom model: the k-th firing of a trial gets +0.1·k.
+        // The factory builds it fresh per trial on both paths, and each
+        // lane calls its own closure in the lane's dispatch order.
+        let build = diamond_builder();
+        let factory = || {
+            let mut k = 0u32;
+            Variability::Custom(Box::new(move |nominal, _cell, _rng| {
+                k += 1;
+                nominal + 0.1 * k as f64
+            }))
+        };
+        let sweep = Sweep::over(&build)
+            .variability(factory)
+            .trials(17)
+            .master_seed(5)
+            .batch_width(4)
+            .threads(2);
+        assert_eq!(sweep.run_detailed(), sweep.run_reference().1);
+    }
+
+    #[test]
+    fn mixed_per_cell_sigma_matches_reference() {
+        let build = diamond_builder();
+        let factory = || {
+            let mut map = std::collections::HashMap::new();
+            map.insert("JTL".to_string(), 0.5);
+            map.insert("S".to_string(), 0.0); // σ=0: skipped, no RNG draw
+            Variability::PerCellType(map)
+        };
+        let sweep = Sweep::over(&build)
+            .variability(factory)
+            .trials(24)
+            .master_seed(9)
+            .batch_width(5);
+        assert_eq!(sweep.run_detailed(), sweep.run_reference().1);
+    }
+
+    #[test]
+    fn timing_violations_kill_lanes_not_blocks() {
+        // A 10 ps transition-time cell fed pulses 1 ps apart violates in
+        // every trial; lane verdicts must match the reference.
+        let m = Machine::new(
+            "DUT",
+            &["a"],
+            &["q"],
+            1.0,
+            1,
+            &[EdgeDef {
+                src: "idle",
+                trigger: "a",
+                dst: "idle",
+                firing: "q",
+                transition_time: 10.0,
+                ..Default::default()
+            }],
+        )
+        .unwrap();
+        let build = move || {
+            let mut c = Circuit::new();
+            let a = c.inp_at(&[10.0, 11.0, 50.0], "A");
+            let q = c.add_machine(&m, &[a]).unwrap()[0];
+            c.inspect(q, "Q");
+            c
+        };
+        let sweep = Sweep::over(&build).trials(12).batch_width(8);
+        let report = sweep.run();
+        assert_eq!(report, sweep.run_reference().0);
+        assert_eq!(report.timing_violations, 12);
+    }
+
+    #[test]
+    fn jitter_dependent_violations_diverge_per_lane() {
+        // A reconvergent fan-out racing a transition-time window: the two
+        // jittered paths arrive ~2 ps apart at a merger that needs 3 ps to
+        // recover, so with heavy jitter some trials violate and some pass —
+        // lanes within one block genuinely diverge, and must still match
+        // the reference.
+        let m = Machine::new(
+            "DUT",
+            &["a", "b"],
+            &["q"],
+            1.0,
+            1,
+            &[
+                EdgeDef {
+                    src: "idle",
+                    trigger: "a",
+                    dst: "idle",
+                    firing: "q",
+                    transition_time: 3.0,
+                    ..Default::default()
+                },
+                EdgeDef {
+                    src: "idle",
+                    trigger: "b",
+                    dst: "idle",
+                    firing: "q",
+                    transition_time: 3.0,
+                    ..Default::default()
+                },
+            ],
+        )
+        .unwrap();
+        let build = move || {
+            let mut c = Circuit::new();
+            let a = c.inp_at(&[10.0], "A");
+            let outs = c.add_machine(&splitter(), &[a]).unwrap();
+            let fast = c.add_machine(&jtl(5.0), &[outs[0]]).unwrap()[0];
+            let slow = c.add_machine(&jtl(7.0), &[outs[1]]).unwrap()[0];
+            let r = c.add_machine(&m, &[fast, slow]).unwrap()[0];
+            c.inspect(r, "R");
+            c
+        };
+        let sweep = Sweep::over(&build)
+            .variability(|| Variability::Gaussian { std: 2.0 })
+            .trials(200)
+            .master_seed(1)
+            .batch_width(32)
+            .threads(4);
+        let report = sweep.run();
+        assert_eq!(report, sweep.run_reference().0);
+        // Guard against a vacuous pass: the workload must actually mix
+        // verdicts for the divergence path to have been exercised.
+        assert!(report.ok > 0, "some trials must pass");
+        assert!(report.timing_violations > 0, "some trials must violate");
+    }
+
+    #[test]
+    fn zero_trials_yields_empty_report_without_panic() {
+        let build = diamond_builder();
+        let report = Sweep::over(&build).trials(0).run();
+        assert_eq!(report, Sweep::over(&build).trials(0).run_reference().0);
+        assert_eq!(report.trials, 0);
+        assert_eq!(report.ok, 0);
+        assert_eq!(report.failure_rate(), 0.0);
+        assert_eq!(report.output("L").unwrap().pulses, 0);
+        // The detailed view is empty too.
+        assert!(Sweep::over(&build).trials(0).run_detailed().trials.is_empty());
+    }
+
+    #[test]
+    fn hole_circuits_run_per_trial_with_the_same_counters() {
+        let build = hole_builder();
+        let run = |threads, width| {
+            let tel = Telemetry::new();
+            let details = Sweep::over(&build)
+                .variability(|| Variability::Gaussian { std: 0.4 })
+                .trials(6)
+                .threads(threads)
+                .batch_width(width)
+                .telemetry(&tel)
+                .run_detailed();
+            (details, tel.report())
+        };
+        let (details, serial) = run(1, 16);
+        let (wide_details, parallel) = run(3, 2);
+        assert_eq!(details, wide_details);
+        assert_eq!(
+            details,
+            Sweep::over(&build)
+                .variability(|| Variability::Gaussian { std: 0.4 })
+                .trials(6)
+                .run_reference()
+                .1
+        );
+        // The per-trial path records the sweep's one counter set.
+        assert_eq!(serial.counter("sweep.runs"), 1);
+        assert_eq!(serial.counter("sweep.ok"), 6);
+        assert_eq!(serial.counter("sweep.dispatches"), 6 * 4);
+        assert!(serial.counters_with_prefix("sim.").is_empty());
+        assert_eq!(serial.counter("sweep.blocks"), 1);
+        assert_eq!(parallel.counter("sweep.blocks"), 3);
+        assert_eq!(
+            serial.counter("sweep.dispatches"),
+            parallel.counter("sweep.dispatches")
+        );
+    }
+
+    #[test]
+    fn lane_counters_match_per_trial_simulations() {
+        // The lane kernel counts exactly the work per-trial simulations
+        // count, except wire pulses, which it records on observed wires only.
+        let build = diamond_builder();
+        let tel = Telemetry::new();
+        Sweep::over(&build)
+            .variability(|| Variability::Gaussian { std: 0.4 })
+            .trials(20)
+            .master_seed(7)
+            .batch_width(6)
+            .threads(2)
+            .telemetry(&tel)
+            .run();
+        let lanes = tel.report();
+        let sims = Telemetry::new();
+        let mut sim = Simulation::new(build()).telemetry(&sims);
+        sim.set_variability(Some(Variability::Gaussian { std: 0.4 }));
+        for trial in 0..20 {
+            sim.set_seed(trial_seed(7, trial));
+            sim.run().unwrap();
+        }
+        let sims = sims.report();
+        let work = [
+            "dispatches",
+            "transitions",
+            "pulses_pushed",
+            "pulses_popped",
+        ];
+        for key in work {
+            assert_eq!(
+                lanes.counter(&format!("sweep.{key}")),
+                sims.counter(&format!("sim.{key}")),
+                "{key}"
+            );
+        }
+        assert_eq!(
+            lanes.gauge("sweep.max_heap_depth"),
+            sims.gauge("sim.max_heap_depth")
+        );
+        // The observed wires A, L and R carry 3 pulses per trial; the two
+        // anonymous splitter outputs are not recorded.
+        assert_eq!(lanes.counter("sweep.wire_pulses"), 20 * 9);
+        assert_eq!(sims.counter("sim.wire_pulses"), 20 * 15);
+        assert_eq!(lanes.counter("sweep.blocks"), 4);
+    }
+
+    #[test]
+    fn counters_identical_across_threads_and_widths() {
+        let run = |threads, width| {
+            let tel = Telemetry::new();
+            Sweep::over(diamond_builder())
+                .variability(|| Variability::Gaussian { std: 0.4 })
+                .trials(64)
+                .master_seed(7)
+                .threads(threads)
+                .batch_width(width)
+                .telemetry(&tel)
+                .run();
+            tel.report()
+        };
+        let serial = run(1, 16);
+        let parallel = run(8, 16);
+        assert_eq!(serial, parallel);
+        // Different widths change block structure (and so the block
+        // counter) but never the work or verdict counters.
+        let wide = run(4, 64);
+        assert_eq!(wide.counter("sweep.blocks"), 1);
+        assert_eq!(wide.counter("sweep.ok"), 64);
+        assert_eq!(
+            wide.counter("sweep.dispatches"),
+            serial.counter("sweep.dispatches")
+        );
+    }
+
+    #[test]
+    fn nominal_lanes_are_exact() {
+        let report = Sweep::over(diamond_builder()).trials(16).run();
+        assert_eq!(report.ok, 16);
+        let l = report.output("L").unwrap();
+        assert_eq!(l.pulses, 48); // 3 pulses × 16 trials
+        assert_eq!(l.min, 10.0 + 4.3 + 5.0);
+        assert_eq!(l.max, 55.0 + 4.3 + 5.0);
     }
 }

@@ -185,7 +185,7 @@ impl ServeSummary {
         }
         t.trials += rec.counter("sweep.trials") + rec.counter("shmoo.trials");
         t.states += rec.counter("mc.states");
-        t.events += rec.counter("sim.dispatches");
+        t.events += rec.counter("sim.dispatches") + rec.counter("sweep.dispatches");
     }
 
     /// One-line JSON rendering (the `--summary` output). Built through the
@@ -312,6 +312,20 @@ fn telemetry_obj(report: &TelemetryReport) -> JsonValue {
             .map(|(k, v)| (k.clone(), int(*v)))
             .collect(),
     )
+}
+
+/// An optional non-negative integer request field (`seed`, `trials`,
+/// `max_states`), read exactly: absent is `None`, and a present value that
+/// is not an integer in `[0, 2^53)` — fractional, negative, too large to be
+/// exact in a JSON number, or not a number — is an in-band error.
+fn get_count(req: &JsonValue, key: &str) -> Result<Option<u64>, RequestError> {
+    req.get(key)
+        .map(|v| {
+            v.as_usize()
+                .map(|n| n as u64)
+                .ok_or_else(|| RequestError(format!("'{key}' must be an integer in [0, 2^53)")))
+        })
+        .transpose()
 }
 
 fn events_obj(events: &Events) -> JsonValue {
@@ -618,8 +632,8 @@ impl Server {
         if let Some(v) = req.get("variability") {
             sim.set_variability(Some(parse_variability(v)?.make()));
         }
-        if let Some(seed) = req.get("seed").and_then(JsonValue::as_f64) {
-            sim.set_seed(seed as u64);
+        if let Some(seed) = get_count(req, "seed")? {
+            sim.set_seed(seed);
         }
         let events = sim.run()?;
         Ok(vec![
@@ -635,18 +649,12 @@ impl Server {
         ctx: &mut ReqCtx,
     ) -> Result<Vec<(String, JsonValue)>, RequestError> {
         let (ir, outcome) = self.load_ir(req, ctx)?;
-        let requested_trials = req
-            .get("trials")
-            .and_then(JsonValue::as_f64)
-            .map(|t| t as u64);
+        let requested_trials = get_count(req, "trials")?;
         let trials = requested_trials.unwrap_or(100).min(self.opts.max_trials);
         if requested_trials.is_some_and(|r| trials < r) {
             ctx.clamps.push("trials");
         }
-        let seed = req
-            .get("seed")
-            .and_then(JsonValue::as_f64)
-            .map_or(0, |v| v as u64);
+        let seed = get_count(req, "seed")?.unwrap_or(0);
         let requested_until = req.get("until").and_then(JsonValue::as_f64);
         let until = requested_until
             .unwrap_or(f64::INFINITY)
@@ -746,15 +754,15 @@ impl Server {
             threads: self.engine_threads,
             ..Default::default()
         };
-        if let Some(t) = req.get("trials").and_then(JsonValue::as_f64) {
-            opts.trials = t as u64;
+        if let Some(t) = get_count(req, "trials")? {
+            opts.trials = t;
         }
         if opts.trials > self.opts.max_trials {
             ctx.clamps.push("trials");
         }
         opts.trials = opts.trials.min(self.opts.max_trials);
-        if let Some(seed) = req.get("seed").and_then(JsonValue::as_f64) {
-            opts.master_seed = seed as u64;
+        if let Some(seed) = get_count(req, "seed")? {
+            opts.master_seed = seed;
         }
         if let Some(tol) = req.get("tolerance").and_then(JsonValue::as_f64) {
             opts.tolerance = tol;
@@ -799,7 +807,7 @@ impl Server {
         ctx: &mut ReqCtx,
     ) -> Result<Vec<(String, JsonValue)>, RequestError> {
         let (ir, outcome) = self.load_ir(req, ctx)?;
-        let req_states = req.get("max_states").and_then(JsonValue::as_usize);
+        let req_states = get_count(req, "max_states")?.map(|n| n as usize);
         let max_states = req_states
             .unwrap_or(self.opts.max_states)
             .min(self.opts.max_states);
@@ -1062,6 +1070,53 @@ mod tests {
         ));
         assert!(r.contains("\"ok\":false"), "{r}");
         assert!(r.contains("NOPE"), "{r}");
+    }
+
+    #[test]
+    fn integer_fields_are_read_exactly_or_rejected() {
+        let server = Server::new(ServeOptions::default());
+        let ir = rlse_designs::design_ir("min_max", 1.0)
+            .to_value()
+            .to_compact();
+        let line = |kind: &str, field: &str, value: &str| {
+            let body = if kind == "shmoo" {
+                "\"design\":\"min_max\",\"sigmas\":[0.1],\"scales\":[1.0]".to_string()
+            } else {
+                format!("\"ir\":{ir}")
+            };
+            let trials = if field == "trials" {
+                ""
+            } else {
+                "\"trials\":2,"
+            };
+            format!("{{\"kind\":\"{kind}\",{trials}\"{field}\":{value},{body}}}")
+        };
+        let fields = [
+            ("simulate", "seed"),
+            ("sweep", "seed"),
+            ("sweep", "trials"),
+            ("shmoo", "seed"),
+            ("shmoo", "trials"),
+            ("model_check", "max_states"),
+        ];
+        for (kind, field) in fields {
+            // Fractional, negative, aliased above 2^53, and non-numeric
+            // values each get the same deterministic in-band error.
+            for bad in ["1.5", "-1", "9007199254740993", "\"7\"", "null"] {
+                let r = server.handle_line(&line(kind, field, bad));
+                let want =
+                    format!("\"ok\":false,\"error\":\"'{field}' must be an integer in [0, 2^53)\"");
+                assert!(r.contains(&want), "{kind}.{field}={bad}: {r}");
+                assert_eq!(r, server.handle_line(&line(kind, field, bad)));
+            }
+            let exact = if field == "seed" {
+                "9007199254740991"
+            } else {
+                "3"
+            };
+            let good = server.handle_line(&line(kind, field, exact));
+            assert!(good.contains("\"ok\":true"), "{kind}.{field}: {good}");
+        }
     }
 
     #[test]

@@ -1,21 +1,25 @@
-//! Differential test harness: the structure-of-arrays batch-sweep kernel
-//! must be **bit-identical** to the per-trial-worker scalar sweep — not
-//! statistically close, equal.
+//! Differential test harness: every [`Sweep`] must be **bit-identical**
+//! to its per-trial [`Simulation`] reference (`Sweep::run_reference`) —
+//! not statistically close, equal.
 //!
 //! For every Table-3 design, the same Monte-Carlo study (Gaussian jitter at
 //! a σ hot enough to make some trials fail their functional check) is run
-//! through both engines via `run_detailed`, and every per-trial verdict and
-//! every output pulse time must match exactly, across thread counts
-//! {1, 4, 8} and batch widths {1, 7, 64}. The aggregated `SweepReport`s
-//! must also be bitwise-equal, since both engines feed the same serial
-//! reduction in trial order.
+//! on the lane kernel via `run_detailed`, and every per-trial verdict and
+//! every output pulse time must match the reference exactly, across thread
+//! counts {1, 4, 8} and batch widths {1, 7, 64}. The aggregated
+//! `SweepReport`s must also be bitwise-equal, since both paths feed the
+//! same serial reduction in trial order. The same grid covers the cases the
+//! lane kernel must get right beyond the designs: a hole circuit (which
+//! runs per trial), `until` on a feedback loop, and a stateful
+//! `Variability::Custom`.
 //!
 //! The harness drives the exact circuits the shmoo maps sweep
 //! ([`rlse::designs::design_spec`]), at a scale/σ point chosen per design
 //! so the verdict set is *mixed* — a guard asserts at least one passing and
 //! one non-passing trial, so agreement is never vacuous.
 
-use rlse::core::sweep::{BatchSweep, Sweep, SweepDetails, TrialVerdict};
+use rlse::core::sweep::{Sweep, SweepDetails, SweepReport, TrialVerdict};
+use rlse::designs::ring::ring_oscillator;
 use rlse::designs::{design_spec, shmoo_design_names, shmoo_map, ShmooOptions};
 use rlse::prelude::*;
 
@@ -43,7 +47,8 @@ fn hot_point(design: &str) -> (f64, f64) {
     }
 }
 
-fn scalar_details(design: &str) -> SweepDetails {
+/// The hot-point study of one design, ready for threads/width.
+fn design_sweep(design: &str) -> Sweep<'static> {
     let (build, check) = design_spec(design);
     let (scale, sigma) = hot_point(design);
     Sweep::over(move || build(scale))
@@ -51,31 +56,37 @@ fn scalar_details(design: &str) -> SweepDetails {
         .check(check)
         .trials(TRIALS)
         .master_seed(SEED)
-        .threads(1)
-        .run_detailed()
 }
 
-fn batch_details(design: &str, threads: usize, width: usize) -> SweepDetails {
-    let (build, check) = design_spec(design);
-    let (scale, sigma) = hot_point(design);
-    BatchSweep::over(move || build(scale))
-        .variability(move || Variability::Gaussian { std: sigma })
-        .check(check)
-        .trials(TRIALS)
-        .master_seed(SEED)
-        .threads(threads)
-        .batch_width(width)
-        .run_detailed()
+/// The core differential assertion: the per-trial reference of
+/// `sweep()` against the sweep itself at every (threads × width)
+/// combination, per-trial details and aggregate reports both.
+fn assert_matches_reference(what: &str, sweep: impl Fn() -> Sweep<'static>) -> SweepDetails {
+    let (reference_report, reference): (SweepReport, SweepDetails) =
+        sweep().threads(1).run_reference();
+    for threads in THREADS {
+        for width in WIDTHS {
+            let details = sweep().threads(threads).batch_width(width).run_detailed();
+            assert_eq!(
+                reference, details,
+                "{what}: sweep diverged from the per-trial reference at \
+                 threads={threads} width={width}"
+            );
+            let report = sweep().threads(threads).batch_width(width).run();
+            assert_eq!(
+                reference_report, report,
+                "{what}: aggregate reports diverged at threads={threads} width={width}"
+            );
+        }
+    }
+    reference
 }
 
-/// The core differential assertion for one design: scalar reference vs the
-/// batch kernel at every (threads × width) combination, per-trial details
-/// and aggregate reports both.
 fn assert_engines_identical(design: &str) {
-    let reference = scalar_details(design);
+    let reference = assert_matches_reference(design, || design_sweep(design));
 
     // Vacuity guard: the operating point must produce mixed verdicts, or
-    // the equality below proves nothing about verdict classification.
+    // the equality above proves nothing about verdict classification.
     let passing = reference
         .trials
         .iter()
@@ -94,40 +105,6 @@ fn assert_engines_identical(design: &str) {
             .any(|t| t.outputs.iter().any(|o| !o.is_empty())),
         "{design}: no output pulses recorded in any trial"
     );
-
-    let (build, check) = design_spec(design);
-    let (scale, sigma) = hot_point(design);
-    for threads in THREADS {
-        for width in WIDTHS {
-            let batch = batch_details(design, threads, width);
-            assert_eq!(
-                reference, batch,
-                "{design}: batch kernel diverged from scalar sweep at \
-                 threads={threads} width={width}"
-            );
-            // Aggregate reports reduce in trial order on both engines, so
-            // they must be bitwise-equal too.
-            let scalar_report = Sweep::over(move || build(scale))
-                .variability(move || Variability::Gaussian { std: sigma })
-                .check(check)
-                .trials(TRIALS)
-                .master_seed(SEED)
-                .threads(threads)
-                .run();
-            let batch_report = BatchSweep::over(move || build(scale))
-                .variability(move || Variability::Gaussian { std: sigma })
-                .check(check)
-                .trials(TRIALS)
-                .master_seed(SEED)
-                .threads(threads)
-                .batch_width(width)
-                .run();
-            assert_eq!(
-                scalar_report, batch_report,
-                "{design}: aggregate reports diverged at threads={threads} width={width}"
-            );
-        }
-    }
 }
 
 #[test]
@@ -188,32 +165,29 @@ fn design_list_is_covered() {
 
 // ------------------------------------------------------------ edge cases
 
-/// `trials == 0` is an empty study, not a panic: both engines return an
-/// empty report with every counter at zero.
+/// `trials == 0` is an empty study, not a panic: the sweep and its
+/// reference return an empty report with every counter at zero.
 #[test]
 fn zero_trials_is_empty_report_not_panic() {
     let (build, check) = design_spec("min_max");
-    let scalar = Sweep::over(move || build(1.0))
-        .check(check)
-        .trials(0)
-        .run();
-    let batch = BatchSweep::over(move || build(1.0))
-        .check(check)
-        .trials(0)
-        .batch_width(16)
-        .run();
-    for report in [&scalar, &batch] {
+    let sweep = || {
+        Sweep::over(move || build(1.0))
+            .check(check)
+            .trials(0)
+            .batch_width(16)
+    };
+    let report = sweep().run();
+    let (reference, details) = sweep().run_reference();
+    for report in [&report, &reference] {
         assert_eq!(report.trials, 0);
         assert_eq!(report.ok, 0);
         assert_eq!(report.check_failures, 0);
         assert_eq!(report.timing_violations, 0);
         assert_eq!(report.other_errors, 0);
     }
-    assert_eq!(scalar, batch);
-    let details = BatchSweep::over(move || build(1.0))
-        .trials(0)
-        .run_detailed();
+    assert_eq!(report, reference);
     assert!(details.trials.is_empty());
+    assert!(sweep().run_detailed().trials.is_empty());
 }
 
 /// An empty parameter grid is an empty map, not a panic: no sigmas means
@@ -247,13 +221,13 @@ fn empty_parameter_grid_is_empty_map_not_panic() {
 fn sigma_zero_equals_nominal_run() {
     for design in shmoo_design_names() {
         let (build, check) = design_spec(design);
-        let jittered = BatchSweep::over(move || build(1.0))
+        let jittered = Sweep::over(move || build(1.0))
             .variability(|| Variability::Gaussian { std: 0.0 })
             .check(check)
             .trials(8)
             .master_seed(123)
             .run_detailed();
-        let nominal = BatchSweep::over(move || build(1.0))
+        let nominal = Sweep::over(move || build(1.0))
             .check(check)
             .trials(8)
             .master_seed(123)
@@ -267,4 +241,78 @@ fn sigma_zero_equals_nominal_run() {
             assert_eq!(t.outputs, jittered.trials[0].outputs);
         }
     }
+}
+
+/// A circuit with a behavioral hole runs every trial on a simulation of
+/// its own; the block deal and stitch must still be thread- and
+/// width-invariant.
+#[test]
+fn hole_circuit_matches_reference() {
+    let build = || {
+        let mut c = Circuit::new();
+        let a = c.inp_at(&[10.0, 40.0, 70.0], "A");
+        let b = c.inp_at(&[25.0, 55.0], "B");
+        let or = Hole::new("or", 2.0, &["a", "b"], &["q"], |p: &[bool], _t| {
+            vec![p[0] || p[1]]
+        });
+        let q = c.add_hole(or, &[a, b]).unwrap()[0];
+        let q = rlse::cells::jtl(&mut c, q).unwrap();
+        c.inspect(q, "Q");
+        c
+    };
+    let details = assert_matches_reference("hole", || {
+        Sweep::over(build)
+            .variability(|| Variability::Gaussian { std: 0.5 })
+            .trials(TRIALS)
+            .master_seed(SEED)
+    });
+    assert!(details.trials.iter().all(|t| t.outputs[2].len() == 5));
+}
+
+/// A ring oscillator pulses forever; `until` alone ends each trial, on
+/// the lane kernel exactly where the reference ends it.
+#[test]
+fn feedback_loop_until_matches_reference() {
+    let build = || {
+        let mut c = Circuit::new();
+        let seed = c.inp_at(&[10.0], "SEED");
+        let osc = ring_oscillator(&mut c, seed, 3).unwrap();
+        c.inspect(osc.tap, "TAP");
+        c
+    };
+    let details = assert_matches_reference("ring", || {
+        Sweep::over(build)
+            .variability(|| Variability::Gaussian { std: 0.5 })
+            .until(300.0)
+            .trials(TRIALS)
+            .master_seed(SEED)
+    });
+    let taps = &details.trials[0].outputs[1];
+    assert!(
+        taps.len() > 2 && taps.iter().all(|&t| t <= 300.0),
+        "{taps:?}"
+    );
+}
+
+/// A stateful custom delay model: the factory builds a fresh closure per
+/// trial whose k-th firing gets `+0.05·k` plus a draw from the trial's RNG
+/// stream, so any divergence in per-lane dispatch order, closure state or
+/// RNG position shows up in the pulse times.
+#[test]
+fn stateful_custom_variability_matches_reference() {
+    let (build, check) = design_spec("bitonic_4");
+    assert_matches_reference("custom", || {
+        Sweep::over(move || build(1.0))
+            .variability(|| {
+                let mut k = 0u32;
+                Variability::Custom(Box::new(move |nominal, _cell, rng| {
+                    k += 1;
+                    let u = rng.next_u32() as f64 / u32::MAX as f64;
+                    nominal + 0.05 * k as f64 + u
+                }))
+            })
+            .check(check)
+            .trials(TRIALS)
+            .master_seed(SEED)
+    });
 }

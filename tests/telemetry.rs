@@ -100,7 +100,12 @@ fn sweep_report_is_identical_across_thread_counts() {
     assert_eq!(one, eight);
     assert_eq!(one.to_json(), eight.to_json());
     assert_eq!(one.counter("sweep.trials"), 64);
-    assert_eq!(one.counter("sim.runs"), 64);
+    // A sweep runs the lane kernel, not per-trial simulations: 4 blocks
+    // of 16 lanes, each trial dispatching its 4 stimulus pulses once.
+    assert_eq!(one.counter("sweep.blocks"), 4);
+    assert_eq!(one.counter("sweep.dispatches"), 64 * 4);
+    assert_eq!(one.counter("sweep.transitions"), 64 * 4);
+    assert_eq!(one.counter("sim.runs"), 0);
 }
 
 /// Same contract for the model checker at 1 vs 4 shard workers.
