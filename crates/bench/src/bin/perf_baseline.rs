@@ -27,6 +27,11 @@
 //! section measures the overhead of the instrumentation itself (no handle
 //! vs. disabled handle vs. enabled handle) on the bitonic_8 workload.
 //!
+//! A `json_decode` section reports `JsonValue::parse` throughput in MiB/s
+//! on single-string lines of 16 KiB to 1 MiB (flat MiB/s shows the decoder
+//! scales linearly) and on the served bitonic_8 `simulate` request line,
+//! with the host fingerprint (cores, CPU model, rustc, profile) of the run.
+//!
 //! Allocation counts come from a counting global allocator and cover the
 //! whole `run()` call, including the per-run `Events` materialization at the
 //! boundary; the interesting signal is the per-event marginal cost.
@@ -359,6 +364,85 @@ fn measure_serve_throughput(corpus: &str, workers_list: &[usize]) -> Vec<ServeRo
         .collect()
 }
 
+/// One JSON-decoding workload: a request-sized document and the median
+/// time `JsonValue::parse` takes on it.
+struct DecodeRow {
+    name: String,
+    bytes: usize,
+    median_ns: f64,
+}
+
+impl DecodeRow {
+    fn mib_per_s(&self) -> f64 {
+        self.bytes as f64 / (1u64 << 20) as f64 / (self.median_ns * 1e-9)
+    }
+}
+
+/// `JsonValue::parse` throughput on single-string lines of growing size
+/// (a linear decoder holds MiB/s flat across them) and on the served
+/// bitonic_8 `simulate` request line.
+fn measure_json_decode() -> Vec<DecodeRow> {
+    use rlse_core::ir::json::JsonValue;
+    use std::hint::black_box;
+    let mut docs: Vec<(String, String)> = [16usize, 64, 256, 1024]
+        .iter()
+        .map(|&kib| {
+            let body: String = (0..kib << 10)
+                .map(|i| char::from(b'a' + (i % 26) as u8))
+                .collect();
+            (format!("string_{kib}KiB"), format!("\"{body}\""))
+        })
+        .collect();
+    let ir = rlse_designs::design_ir("bitonic_8", 1.0)
+        .to_value()
+        .to_compact();
+    docs.push((
+        "bitonic_8_simulate".into(),
+        format!("{{\"id\":\"sim\",\"kind\":\"simulate\",\"until\":5000,\"ir\":{ir}}}"),
+    ));
+    docs.into_iter()
+        .map(|(name, doc)| {
+            JsonValue::parse(&doc).expect("valid JSON");
+            let median_ns = time_median(
+                || drop(black_box(JsonValue::parse(black_box(&doc)))),
+                300.0,
+                10,
+            );
+            DecodeRow {
+                name,
+                bytes: doc.len(),
+                median_ns,
+            }
+        })
+        .collect()
+}
+
+/// The host fingerprint recorded next to timing sections: logical cores,
+/// CPU model, compiler version and build profile.
+fn host_fingerprint() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let mut cpu_json = String::new();
+    rlse_core::ir::json::escape_json(&cpu, &mut cpu_json);
+    format!(
+        "{{\"cores\": {cores}, \"cpu\": \"{cpu_json}\", \"rustc\": \"{}\", \"profile\": \"{profile}\"}}",
+        env!("RLSE_BENCH_RUSTC")
+    )
+}
+
 /// Telemetry overhead on the reused bitonic_8 workload: median run time
 /// with no handle attached, with a disabled handle, and with an enabled
 /// handle. The first two must be indistinguishable (the disabled handle is
@@ -602,6 +686,8 @@ fn main() {
     let serve_corpus = rlse_serve::generated_requests(SERVE_CORPUS);
     let serve_rows = measure_serve_throughput(&serve_corpus, &[1, 2, 4, 8]);
 
+    let decode_rows = measure_json_decode();
+
     // Hand-rolled JSON (the workspace deliberately has no serde dependency).
     let mut out = String::new();
     out.push_str("{\n");
@@ -732,6 +818,22 @@ fn main() {
             r.warm_rps,
             r.singleflight_waits,
             if i + 1 == serve_rows.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ]},\n");
+    out.push_str(&format!(
+        "  \"json_decode\": {{\"host\": {}, \"rows\": [\n",
+        host_fingerprint()
+    ));
+    for (i, r) in decode_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"bytes\": {}, \"median_ns\": {:.0}, \
+             \"mib_per_s\": {:.1}}}{}\n",
+            r.name,
+            r.bytes,
+            r.median_ns,
+            r.mib_per_s(),
+            if i + 1 == decode_rows.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]},\n");

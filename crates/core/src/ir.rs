@@ -722,7 +722,11 @@ impl Ir {
         s
     }
 
-    /// Parse an IR document from JSON text (either rendering).
+    /// Parse an IR document from JSON text (either rendering): one
+    /// [`JsonValue::parse`] followed by [`Ir::from_value`]. Callers that
+    /// already hold a parsed value (the serve front end decodes the `ir`
+    /// member of a parsed request) call [`Ir::from_value`] directly rather
+    /// than rendering the value back to text.
     ///
     /// # Errors
     ///

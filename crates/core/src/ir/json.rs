@@ -8,7 +8,7 @@
 //! booleans, and `null`. Object key order is preserved, so a value written
 //! by [`JsonValue::write`] parses back to an equal value.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,10 +146,27 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Decode a string literal in one pass over its bytes. Each run of
+    /// plain bytes up to the next `"`, `\` or control byte is UTF-8-checked
+    /// as one slice and appended whole, so the cost is linear in the
+    /// literal's length; escapes are decoded one at a time between runs.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text = std::str::from_utf8(&rest[..run]).map_err(|e| JsonError {
+                    pos: self.pos + e.valid_up_to(),
+                    msg: "invalid UTF-8 in string".into(),
+                })?;
+                out.push_str(text);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
@@ -198,19 +215,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return self.err("raw control character in string"),
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        JsonError {
-                            pos: self.pos,
-                            msg: "invalid UTF-8 in string".into(),
-                        }
-                    })?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return self.err("raw control character in string"),
             }
         }
     }
@@ -301,7 +306,8 @@ pub fn escape_json(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -313,7 +319,8 @@ pub fn escape_json(s: &str, out: &mut String) {
 /// written as `null` so the output stays valid JSON.
 pub fn write_f64(v: f64, out: &mut String) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
@@ -515,6 +522,119 @@ mod tests {
             JsonValue::parse("\"\\ud83d\\ude00\"").unwrap(),
             JsonValue::Str("😀".into())
         );
+    }
+
+    #[test]
+    fn multi_byte_runs_meet_escapes_intact() {
+        // Plain runs of 2-, 3- and 4-byte UTF-8 directly before and after
+        // simple escapes and `\uXXXX` (single and surrogate-pair) escapes.
+        let cases = [
+            (r#""é\n中""#, "é\n中"),
+            (r#""\t😀\"é""#, "\t😀\"é"),
+            (r#""😀😀\\中\/é""#, "😀😀\\中/é"),
+            (r#""é\u00e9中\ud83d\ude00😀""#, "éé中😀😀"),
+            (r#""\ud83d\ude00é\u4e2d😀\u0001""#, "😀é中😀\u{1}"),
+            (r#""中\u00e9\u00e9中""#, "中éé中"),
+            (r#""éé中中😀😀""#, "éé中中😀😀"),
+        ];
+        for (doc, want) in cases {
+            assert_eq!(
+                JsonValue::parse(doc).unwrap(),
+                JsonValue::Str(want.into()),
+                "{doc}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_strings_and_non_ascii_keys() {
+        assert_eq!(
+            JsonValue::parse(r#""""#).unwrap(),
+            JsonValue::Str(String::new())
+        );
+        let v = JsonValue::parse(r#"{"":"","中文キー😀":"é","ü":[""]}"#).unwrap();
+        assert_eq!(v.get("").and_then(JsonValue::as_str), Some(""));
+        assert_eq!(v.get("中文キー😀").and_then(JsonValue::as_str), Some("é"));
+        assert_eq!(
+            v.get("ü"),
+            Some(&JsonValue::Arr(vec![JsonValue::Str(String::new())]))
+        );
+        assert_eq!(JsonValue::parse(&v.to_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn string_errors_keep_their_byte_offsets() {
+        // A raw control byte fails at its own offset, however long the
+        // plain run before it and whatever its byte width.
+        for run in [
+            "a".repeat(100_000),
+            "é".repeat(50_000),
+            "中😀".repeat(10_000),
+        ] {
+            let doc = format!("\"{run}\u{1}tail\"");
+            let err = JsonValue::parse(&doc).unwrap_err();
+            assert_eq!(err.pos, 1 + run.len(), "{}", err.msg);
+            assert!(err.msg.contains("raw control character"), "{err}");
+            // An unterminated string fails at the end of the input.
+            let doc = format!("\"{run}");
+            let err = JsonValue::parse(&doc).unwrap_err();
+            assert_eq!(err.pos, doc.len());
+            assert!(err.msg.contains("unterminated string"), "{err}");
+        }
+        // After an escape the next run starts fresh.
+        let err = JsonValue::parse("\"é\\n中\n\"").unwrap_err();
+        assert_eq!(err.pos, 1 + 2 + 2 + 3);
+        let err = JsonValue::parse("{\"ké\ty\":1}").unwrap_err();
+        assert_eq!(err.pos, 1 + 1 + 1 + 2);
+    }
+
+    #[test]
+    fn megabyte_strings_parse_in_linear_time() {
+        // A quadratic string scan takes tens of seconds on these even in
+        // a release build; the bound is generous for an unoptimized one.
+        const MIB: usize = 1 << 20;
+        let plain = "x".repeat(MIB);
+        let mut mixed = String::with_capacity(MIB + 64);
+        while mixed.len() < MIB {
+            mixed.push_str("abcdefgh é中😀 \\n\\u00e9\\\"");
+        }
+        for body in [&plain, &mixed] {
+            let doc = format!("\"{body}\"");
+            let t0 = std::time::Instant::now();
+            let v = JsonValue::parse(&doc).unwrap();
+            let took = t0.elapsed();
+            assert!(took.as_secs_f64() < 5.0, "1 MiB string took {took:?}");
+            assert!(v.as_str().unwrap().len() > MIB / 2);
+        }
+    }
+
+    /// The character drawn for generator class `class` and raw value `x`:
+    /// printable ASCII, any non-ASCII scalar value, a character the writer
+    /// escapes by name, or a control character (`\u{7f}` included).
+    fn pick_char(class: u32, x: u32) -> char {
+        match class {
+            0 => char::from(b' ' + (x % 95) as u8),
+            1 => char::from_u32(0x80 + x % (0x11_0000 - 0x80)).unwrap_or('\u{fffd}'),
+            2 => ['"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t'][(x % 8) as usize],
+            _ => match x % 0x21 {
+                0x20 => '\u{7f}',
+                c => char::from(c as u8),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn string_write_parse_round_trip(
+            picks in proptest::collection::vec((0u32..4, 0u32..0x11_0000), 0..64),
+        ) {
+            let s: String = picks.iter().map(|&(class, x)| pick_char(class, x)).collect();
+            let v = JsonValue::Str(s.clone());
+            proptest::prop_assert_eq!(JsonValue::parse(&v.to_compact()).unwrap(), v.clone());
+            // The same string as an object key survives too.
+            let obj = JsonValue::Obj(vec![(s, v)]);
+            proptest::prop_assert_eq!(JsonValue::parse(&obj.to_compact()).unwrap(), obj);
+        }
     }
 
     #[test]

@@ -592,9 +592,12 @@ impl Server {
         sched::serve_pipeline(self, input, output, observer, self.workers)
     }
 
-    /// Parse the request's `"ir"` field and resolve it through the cache,
+    /// Decode the request's `"ir"` member and resolve it through the cache,
     /// timing the lookup/compile and recording the hash and hit/miss for
-    /// the access log.
+    /// the access log. The member is decoded straight from the request's
+    /// parsed value with [`Ir::from_value`]: a request line is parsed once,
+    /// in [`handle_recorded`](Self::handle_recorded), and never
+    /// re-serialized.
     fn load_ir(
         &self,
         req: &JsonValue,
@@ -603,7 +606,7 @@ impl Server {
         let ir_val = req
             .get("ir")
             .ok_or_else(|| RequestError("request needs an 'ir' object".into()))?;
-        let ir = Ir::from_json(&ir_val.to_compact())?;
+        let ir = Ir::from_value(ir_val)?;
         let t0 = Instant::now();
         let outcome = self.cache.get_or_compile(&ir);
         ctx.cache_us += elapsed_us(t0);
@@ -1009,6 +1012,24 @@ mod tests {
             ir.to_value().to_compact()
         );
         assert!(server.handle_line(&good).contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn megabyte_request_id_is_answered_in_linear_time() {
+        // The request line is decoded once, in time linear in its length:
+        // a quadratic string scan takes tens of seconds on this line even
+        // in a release build; the bound is generous for an unoptimized one.
+        let server = Server::new(ServeOptions::default());
+        let id = "é0123456789abcdef".repeat((1 << 20) / 18);
+        let line = format!("{{\"id\":\"{id}\",\"kind\":\"ping\"}}");
+        let t0 = Instant::now();
+        let r = server.handle_line(&line);
+        let took = t0.elapsed();
+        assert!(took.as_secs_f64() < 5.0, "1 MiB ping took {took:?}");
+        assert_eq!(
+            r,
+            format!("{{\"id\":\"{id}\",\"kind\":\"ping\",\"ok\":true}}")
+        );
     }
 
     #[test]
