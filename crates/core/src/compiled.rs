@@ -533,6 +533,45 @@ impl CompiledCircuit {
     pub(crate) fn node_out_wires(&self, node: usize) -> &[u32] {
         &self.out_wires[self.out_start[node] as usize..self.out_start[node + 1] as usize]
     }
+
+    /// True if the node graph has a directed cycle — a feedback loop,
+    /// whether closed through a loopback placeholder or wired directly. A
+    /// run of such a circuit may never drain its event queue, so it needs
+    /// a time horizon ([`Simulation::set_until`](crate::sim::Simulation::set_until)).
+    pub fn has_cycle(&self) -> bool {
+        let n = self.nodes.len();
+        let readers = |node: usize| {
+            self.node_out_wires(node)
+                .iter()
+                .map(|&w| self.sink[w as usize].0)
+                .filter(|&reader| reader != u32::MAX)
+                .map(|reader| reader as usize)
+        };
+        // A builder adds each node after the nodes that drive it, so when
+        // every wire runs to a later node the graph is acyclic, and no
+        // buffer is needed to tell.
+        if (0..n).all(|node| readers(node).all(|reader| reader > node)) {
+            return false;
+        }
+        // Kahn's algorithm: the graph is acyclic iff repeatedly removing
+        // nodes with no remaining inputs removes every node.
+        let mut inputs = vec![0usize; n];
+        for reader in (0..n).flat_map(readers) {
+            inputs[reader] += 1;
+        }
+        let mut ready: Vec<usize> = (0..n).filter(|&i| inputs[i] == 0).collect();
+        let mut removed = 0;
+        while let Some(node) = ready.pop() {
+            removed += 1;
+            for reader in readers(node) {
+                inputs[reader] -= 1;
+                if inputs[reader] == 0 {
+                    ready.push(reader);
+                }
+            }
+        }
+        removed < n
+    }
 }
 
 #[cfg(test)]
@@ -706,5 +745,36 @@ mod tests {
         // A's wire feeds node 1 port 0.
         let a_wire = cc.node_out_wires(0)[0] as usize;
         assert_eq!(cc.sink[a_wire], (1, 0));
+    }
+
+    #[test]
+    fn has_cycle_finds_feedback_loops_only() {
+        // A loopback placeholder closed from a later node is a wire that
+        // runs backward in node order, yet A -> q -> r has no cycle.
+        let mut chain = Circuit::new();
+        let a = chain.inp_at(&[5.0], "A");
+        let lb = chain.loopback_wire();
+        let r = chain.add_machine(&jtl(), &[lb]).unwrap()[0];
+        let q = chain.add_machine(&jtl(), &[a]).unwrap()[0];
+        chain.close_loop(q, lb).unwrap();
+        chain.inspect(r, "R");
+        assert!(!CompiledCircuit::compile(&chain).has_cycle());
+
+        // Two JTLs feeding each other through the placeholder.
+        let mut ring = Circuit::new();
+        let lb = ring.loopback_wire();
+        let q = ring.add_machine(&jtl(), &[lb]).unwrap()[0];
+        let r = ring.add_machine(&jtl(), &[q]).unwrap()[0];
+        ring.close_loop(r, lb).unwrap();
+        assert!(CompiledCircuit::compile(&ring).has_cycle());
+
+        // The same ring wired directly in an IR document: the chain's
+        // output R takes over the stimulus A's reader.
+        let mut ir = crate::ir::Ir::from_circuit(&chain).unwrap();
+        let wire = |name: &str| ir.wires.iter().position(|w| w.name == name).unwrap();
+        let (a, r) = (wire("A"), wire("R"));
+        ir.wires[r].sink = ir.wires[a].sink.take();
+        let direct = ir.to_circuit().unwrap();
+        assert!(CompiledCircuit::compile(&direct).has_cycle());
     }
 }

@@ -1,49 +1,44 @@
 //! A persistent compiled-artifact cache keyed on [`Ir::content_hash`].
 //!
-//! The expensive per-circuit artifacts — the flat dispatch tables of
-//! [`CompiledCircuit`] and, via the type-keyed sidecar, downstream artifacts
-//! such as the analog engine's cell templates — are memoized across
-//! requests. Entries store the full canonical byte encoding and compare it
-//! exactly on lookup, so a 64-bit hash collision can never alias two
-//! different circuits.
+//! The expensive per-circuit artifact — the flat dispatch tables of
+//! [`CompiledCircuit`] — is memoized across requests. Entries store the
+//! full canonical byte encoding and compare it exactly on lookup, so a
+//! 64-bit hash collision can never alias two different circuits.
 //!
 //! The cache is built for concurrent callers (the `rlse-serve` worker pool
 //! hits one shared instance from every request worker):
 //!
-//! * **Sharding** — entries and sidecars are split across
-//!   [`SHARDS`] independently-locked shards by content hash, so lookups for
-//!   different circuits never contend on one lock.
+//! * **One lock** — the entry map and the flight map sit behind a single
+//!   mutex. A lookup holds it for a bucket scan and a canonical-byte
+//!   compare (a few microseconds at most; DESIGN.md §16 has the numbers),
+//!   never for a compile.
 //! * **Single-flight compilation** — when N requests for the same hash
 //!   arrive while no entry exists yet, exactly one caller compiles; the
-//!   rest block on the in-flight marker and are served the finished entry
-//!   (counted in [`singleflight_waits`](CompiledCache::singleflight_waits)
-//!   and the `ir_cache.singleflight_waits` telemetry counter). If the
-//!   compiling caller panics, waiters wake and retry — one of them becomes
-//!   the new leader — so a poisoned flight can never strand the queue.
-//! * **Global LRU** — the entry cap is enforced across all shards: the
-//!   eviction path briefly locks every shard (in index order) and removes
-//!   the globally least-recently-used entry. Eviction is the rare slow path
-//!   by construction, so the full sweep does not affect steady-state
-//!   lookups.
+//!   rest block on the in-flight marker, then look again and are served the
+//!   finished entry (counted in
+//!   [`singleflight_waits`](CompiledCache::singleflight_waits) and the
+//!   `ir_cache.singleflight_waits` telemetry counter). At most one compile
+//!   per hash is in flight, so a caller whose canonical bytes merely share
+//!   the hash waits too, then compiles its own entry. If the compiling
+//!   caller panics, waiters wake and retry — one of them becomes the new
+//!   leader — so a poisoned flight can never strand the queue.
+//! * **LRU cap** — with [`with_max_entries`](CompiledCache::with_max_entries)
+//!   the insert that overflows the cap evicts the least-recently-used entry
+//!   in the same critical section.
 
 use super::{Ir, IrError};
 use crate::circuit::Circuit;
 use crate::compiled::CompiledCircuit;
 use crate::telemetry::Telemetry;
-use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Number of independently-locked shards (a power of two; the shard index
-/// is the hash's low bits).
-const SHARDS: usize = 16;
 
 /// The result of a cache lookup: the rebuilt circuit plus the (possibly
 /// memoized) compiled form.
 #[derive(Debug)]
 pub struct CacheOutcome {
-    /// The IR's content hash — the cache key, also usable with the sidecar.
+    /// The IR's content hash — the cache key.
     pub hash: u64,
     /// True if the compiled circuit was served from the cache (including
     /// after waiting on another caller's in-flight compilation).
@@ -57,27 +52,20 @@ pub struct CacheOutcome {
 struct Entry {
     canon: Vec<u8>,
     compiled: Arc<CompiledCircuit>,
-    /// Tick of the last lookup that touched this entry (LRU eviction key).
+    /// Tick of the insert or lookup that last touched this entry (LRU
+    /// eviction key).
     last_used: u64,
 }
 
 /// An in-flight compilation: waiters block on the condvar until the leader
 /// marks it done (or abandons it by unwinding).
+#[derive(Default)]
 struct Flight {
-    canon: Vec<u8>,
     done: Mutex<bool>,
     cv: Condvar,
 }
 
 impl Flight {
-    fn new(canon: Vec<u8>) -> Self {
-        Flight {
-            canon,
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
     /// Block until the leader finishes (successfully or not).
     fn wait(&self) {
         let mut done = self.done.lock().expect("flight poisoned");
@@ -85,17 +73,14 @@ impl Flight {
             done = self.cv.wait(done).expect("flight poisoned");
         }
     }
-
-    /// Wake every waiter; called exactly once, by the leader's guard.
-    fn finish(&self) {
-        *self.done.lock().expect("flight poisoned") = true;
-        self.cv.notify_all();
-    }
 }
 
 /// Removes the leader's flight marker and wakes waiters on drop, so a
 /// panicking compile can never strand the waiters — they retry and one
-/// becomes the new leader.
+/// becomes the new leader. The drop runs while a panicking compile unwinds,
+/// so it must not panic itself: a poisoned cache keeps the marker (every
+/// later lookup fails on the poisoned lock anyway), and the `done` flag is
+/// a plain bool that is valid whatever poisoned its lock.
 struct FlightGuard<'a> {
     cache: &'a CompiledCache,
     hash: u64,
@@ -104,39 +89,78 @@ struct FlightGuard<'a> {
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        let mut shard = self.cache.shard(self.hash);
-        if shard
-            .flights
-            .get(&self.hash)
-            .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
-        {
-            shard.flights.remove(&self.hash);
+        if let Ok(mut state) = self.cache.state.lock() {
+            state.flights.remove(&self.hash);
         }
-        drop(shard);
-        self.flight.finish();
+        *self
+            .flight
+            .done
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        self.flight.cv.notify_all();
     }
 }
 
+/// Everything the cache lock guards.
 #[derive(Default)]
-struct Shard {
+struct State {
+    /// Hash buckets; a bucket holds more than one entry only on a 64-bit
+    /// hash collision.
     entries: HashMap<u64, Vec<Entry>>,
+    /// At most one in-flight compile per hash.
     flights: HashMap<u64, Arc<Flight>>,
+    /// Monotone counter stamping `Entry::last_used`.
+    tick: u64,
 }
 
-type SidecarShard = HashMap<(u64, TypeId), Arc<dyn Any + Send + Sync>>;
+impl State {
+    fn len(&self) -> usize {
+        self.entries.values().map(Vec::len).sum()
+    }
 
-/// A thread-safe memo of compiled circuits keyed on IR content, with a
-/// type-keyed sidecar for downstream artifacts (e.g. analog cell-template
-/// banks) cached under the same hash. Sharded and single-flight — see the
-/// module docs for the concurrency design.
+    /// The entry for `canon`, stamped as just used.
+    fn touch(&mut self, hash: u64, canon: &[u8]) -> Option<Arc<CompiledCircuit>> {
+        self.tick += 1;
+        let stamp = self.tick;
+        let entry = self
+            .entries
+            .get_mut(&hash)?
+            .iter_mut()
+            .find(|e| e.canon == canon)?;
+        entry.last_used = stamp;
+        Some(Arc::clone(&entry.compiled))
+    }
+
+    /// Remove the least-recently-used entry.
+    fn evict_lru(&mut self) {
+        let victim = self
+            .entries
+            .iter()
+            .flat_map(|(&h, bucket)| {
+                bucket
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, e)| (e.last_used, h, i))
+            })
+            .min();
+        let Some((_, h, i)) = victim else { return };
+        let bucket = self.entries.get_mut(&h).expect("victim bucket exists");
+        bucket.remove(i);
+        if bucket.is_empty() {
+            self.entries.remove(&h);
+        }
+    }
+}
+
+/// A thread-safe memo of compiled circuits keyed on IR content. One lock,
+/// single-flight — see the module docs for the concurrency design.
 ///
 /// By default the cache is **unbounded**: every distinct circuit compiled
-/// through it stays resident (entries plus their sidecars) until
-/// [`clear`](CompiledCache::clear) or drop. That is the right trade for
-/// batch runs over a fixed request corpus; a long-lived embedder fed many
-/// distinct IRs should cap it with
+/// through it stays resident until [`clear`](CompiledCache::clear) or drop.
+/// That is the right trade for batch runs over a fixed request corpus; a
+/// long-lived embedder fed many distinct IRs should cap it with
 /// [`with_max_entries`](CompiledCache::with_max_entries), which evicts the
-/// globally least-recently-used entry (and its sidecars) on overflow.
+/// least-recently-used entry on overflow.
 ///
 /// ```
 /// use rlse_core::circuit::Circuit;
@@ -158,16 +182,10 @@ type SidecarShard = HashMap<(u64, TypeId), Arc<dyn Any + Send + Sync>>;
 /// assert!(std::sync::Arc::ptr_eq(&first.compiled, &second.compiled));
 /// ```
 pub struct CompiledCache {
-    shards: Vec<Mutex<Shard>>,
-    sidecars: Vec<Mutex<SidecarShard>>,
-    /// Entry count across all shards (kept in step under the shard locks;
-    /// read lock-free for the cheap over-cap check).
-    count: AtomicUsize,
+    state: Mutex<State>,
     hits: AtomicU64,
     misses: AtomicU64,
     singleflight_waits: AtomicU64,
-    /// Monotone lookup counter stamping `Entry::last_used`.
-    tick: AtomicU64,
     /// Entry cap; `None` means unbounded (the default).
     max_entries: Option<usize>,
     telemetry: Telemetry,
@@ -198,13 +216,10 @@ impl CompiledCache {
     /// An empty, unbounded cache with no telemetry attached.
     pub fn new() -> Self {
         CompiledCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            sidecars: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            count: AtomicUsize::new(0),
+            state: Mutex::new(State::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             singleflight_waits: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
             max_entries: None,
             telemetry: Telemetry::disabled(),
             #[cfg(test)]
@@ -213,10 +228,9 @@ impl CompiledCache {
     }
 
     /// Bound the cache to at most `max` compiled circuits (clamped to at
-    /// least 1). Inserting past the bound evicts the globally
-    /// least-recently-used entry, along with its sidecars once no other
-    /// entry shares its hash; evictions count `ir_cache.evictions` on the
-    /// attached telemetry.
+    /// least 1). Inserting past the bound evicts the least-recently-used
+    /// entry; evictions count `ir_cache.evictions` on the attached
+    /// telemetry.
     #[must_use]
     pub fn with_max_entries(mut self, max: usize) -> Self {
         self.max_entries = Some(max.max(1));
@@ -224,24 +238,15 @@ impl CompiledCache {
     }
 
     /// Attach a telemetry handle; lookups count `ir_cache.hits` /
-    /// `ir_cache.misses` / `ir_cache.singleflight_waits` (and
-    /// `ir_cache.sidecar_hits` / `_misses`) on it.
+    /// `ir_cache.misses` / `ir_cache.singleflight_waits` on it.
     #[must_use]
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.telemetry = tel.clone();
         self
     }
 
-    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
-        self.shards[hash as usize & (SHARDS - 1)]
-            .lock()
-            .expect("compiled cache poisoned")
-    }
-
-    fn sidecar_shard(&self, hash: u64) -> MutexGuard<'_, SidecarShard> {
-        self.sidecars[hash as usize & (SHARDS - 1)]
-            .lock()
-            .expect("sidecar cache poisoned")
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("compiled cache poisoned")
     }
 
     /// Rebuild the IR's circuit and return its compiled form, compiling at
@@ -261,199 +266,93 @@ impl CompiledCache {
         let circuit = ir.to_circuit()?;
         let canon = ir.canonical_bytes();
         let hash = super::fnv1a(&canon);
+        Ok(self.lookup(hash, canon, circuit))
+    }
 
-        loop {
-            let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
+    /// The cache proper, with the hash passed in so tests can force a
+    /// collision.
+    fn lookup(&self, hash: u64, canon: Vec<u8>, circuit: Circuit) -> CacheOutcome {
+        let guard = loop {
             let flight = {
-                let mut shard = self.shard(hash);
-                if let Some(found) = shard
-                    .entries
-                    .get_mut(&hash)
-                    .and_then(|bucket| bucket.iter_mut().find(|e| e.canon == canon))
-                    .map(|e| {
-                        e.last_used = stamp;
-                        Arc::clone(&e.compiled)
-                    })
-                {
-                    drop(shard);
+                let mut state = self.state();
+                if let Some(compiled) = state.touch(hash, &canon) {
+                    drop(state);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.add("ir_cache.hits", 1);
-                    return Ok(CacheOutcome {
+                    return CacheOutcome {
                         hash,
                         hit: true,
                         circuit,
-                        compiled: found,
-                    });
+                        compiled,
+                    };
                 }
-                match shard.flights.get(&hash) {
-                    // Same content is already compiling: join the flight.
-                    Some(f) if f.canon == canon => Some(Arc::clone(f)),
-                    // A different canon under the same 64-bit hash is
-                    // compiling (vanishingly rare): compile independently,
-                    // without registering a flight of our own.
-                    Some(_) => None,
+                match state.flights.get(&hash) {
+                    Some(f) => Arc::clone(f),
                     None => {
-                        let f = Arc::new(Flight::new(canon.clone()));
-                        shard.flights.insert(hash, Arc::clone(&f));
-                        None
+                        let flight = Arc::new(Flight::default());
+                        state.flights.insert(hash, Arc::clone(&flight));
+                        break FlightGuard {
+                            cache: self,
+                            hash,
+                            flight,
+                        };
                     }
                 }
             };
+            // Someone is compiling under this hash. Once they finish (or
+            // unwind), look again: their entry may be ours, or we may be
+            // the next leader.
+            self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.add("ir_cache.singleflight_waits", 1);
+            flight.wait();
+        };
 
-            if let Some(flight) = flight {
-                self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.add("ir_cache.singleflight_waits", 1);
-                flight.wait();
-                // The leader either inserted the entry (next iteration is
-                // a hit) or unwound (we race to become the new leader).
-                continue;
-            }
-
-            // We are the compile leader (or an independent hash-collision
-            // compile). The guard wakes waiters even if compile panics.
-            let guard = {
-                let shard = self.shard(hash);
-                shard
-                    .flights
-                    .get(&hash)
-                    .filter(|f| f.canon == canon)
-                    .map(|f| FlightGuard {
-                        cache: self,
-                        hash,
-                        flight: Arc::clone(f),
-                    })
-            };
-            #[cfg(test)]
-            if let Some(hook) = &*self.compile_hook.lock().expect("hook poisoned") {
-                hook();
-            }
-            let compiled = Arc::new(CompiledCircuit::compile(&circuit));
-            let compiled = {
-                let mut shard = self.shard(hash);
-                // A racing hash-collision compile of the same canon may
-                // have inserted while we worked; keep theirs.
-                match shard
-                    .entries
-                    .get_mut(&hash)
-                    .and_then(|bucket| bucket.iter_mut().find(|e| e.canon == canon))
-                {
-                    Some(e) => {
-                        e.last_used = stamp;
-                        Arc::clone(&e.compiled)
-                    }
-                    None => {
-                        shard.entries.entry(hash).or_default().push(Entry {
-                            canon,
-                            compiled: Arc::clone(&compiled),
-                            last_used: stamp,
-                        });
-                        self.count.fetch_add(1, Ordering::Relaxed);
-                        compiled
-                    }
-                }
-            };
-            drop(guard);
-            if let Some(cap) = self.max_entries {
-                self.enforce_cap(cap);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.add("ir_cache.misses", 1);
-            return Ok(CacheOutcome {
-                hash,
-                hit: false,
-                circuit,
-                compiled,
+        // We are the compile leader; the guard wakes waiters even if the
+        // compile panics.
+        #[cfg(test)]
+        if let Some(hook) = &*self.compile_hook.lock().expect("hook poisoned") {
+            hook();
+        }
+        let compiled = Arc::new(CompiledCircuit::compile(&circuit));
+        let mut evictions = 0;
+        {
+            let mut state = self.state();
+            state.tick += 1;
+            let last_used = state.tick;
+            state.entries.entry(hash).or_default().push(Entry {
+                canon,
+                compiled: Arc::clone(&compiled),
+                last_used,
             });
-        }
-    }
-
-    /// Evict globally least-recently-used entries until at most `cap`
-    /// remain. Locks every shard (in index order — the only multi-shard
-    /// lock path, so it cannot deadlock against single-shard users); once a
-    /// victim's hash bucket empties, its sidecars go too.
-    fn enforce_cap(&self, cap: usize) {
-        if self.count.load(Ordering::Relaxed) <= cap {
-            return;
-        }
-        let mut shards: Vec<MutexGuard<'_, Shard>> = self
-            .shards
-            .iter()
-            .map(|m| m.lock().expect("compiled cache poisoned"))
-            .collect();
-        loop {
-            let total: usize = shards
-                .iter()
-                .map(|s| s.entries.values().map(Vec::len).sum::<usize>())
-                .sum();
-            self.count.store(total, Ordering::Relaxed);
-            if total <= cap {
-                return;
-            }
-            let victim = shards
-                .iter()
-                .enumerate()
-                .flat_map(|(si, shard)| {
-                    shard.entries.iter().flat_map(move |(&h, bucket)| {
-                        bucket
-                            .iter()
-                            .enumerate()
-                            .map(move |(i, e)| (e.last_used, si, h, i))
-                    })
-                })
-                .min();
-            let Some((_, si, h, i)) = victim else { return };
-            let bucket = shards[si].entries.get_mut(&h).expect("victim bucket exists");
-            bucket.remove(i);
-            self.count.fetch_sub(1, Ordering::Relaxed);
-            if bucket.is_empty() {
-                shards[si].entries.remove(&h);
-                self.sidecar_shard(h).retain(|&(sh, _), _| sh != h);
-            }
-            self.telemetry.add("ir_cache.evictions", 1);
-        }
-    }
-
-    /// A typed artifact previously stored for `hash` (e.g. an analog
-    /// template bank), if present.
-    pub fn sidecar<T: Any + Send + Sync>(&self, hash: u64) -> Option<Arc<T>> {
-        let got = self.sidecar_shard(hash).get(&(hash, TypeId::of::<T>())).cloned();
-        match got {
-            Some(v) => {
-                self.telemetry.add("ir_cache.sidecar_hits", 1);
-                v.downcast::<T>().ok()
-            }
-            None => {
-                self.telemetry.add("ir_cache.sidecar_misses", 1);
-                None
+            if let Some(cap) = self.max_entries {
+                while state.len() > cap {
+                    state.evict_lru();
+                    evictions += 1;
+                }
             }
         }
-    }
-
-    /// Store a typed artifact under `hash`, replacing any previous value of
-    /// the same type.
-    pub fn put_sidecar<T: Any + Send + Sync>(&self, hash: u64, value: Arc<T>) {
-        self.sidecar_shard(hash)
-            .insert((hash, TypeId::of::<T>()), value);
+        drop(guard);
+        if evictions > 0 {
+            self.telemetry.add("ir_cache.evictions", evictions);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.add("ir_cache.misses", 1);
+        CacheOutcome {
+            hash,
+            hit: false,
+            circuit,
+            compiled,
+        }
     }
 
     /// Number of distinct compiled circuits held.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|m| {
-                m.lock()
-                    .expect("compiled cache poisoned")
-                    .entries
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.state().len()
     }
 
     /// True if no compiled circuits are held.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.state().entries.is_empty()
     }
 
     /// Total cache hits since construction (including single-flight waiters
@@ -469,8 +368,8 @@ impl CompiledCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Times a caller blocked on another caller's in-flight compilation of
-    /// the same content instead of compiling it again.
+    /// Times a caller blocked on another caller's in-flight compilation
+    /// under the same hash instead of compiling it again.
     pub fn singleflight_waits(&self) -> u64 {
         self.singleflight_waits.load(Ordering::Relaxed)
     }
@@ -482,16 +381,9 @@ impl CompiledCache {
         *self.compile_hook.lock().expect("hook poisoned") = Some(hook);
     }
 
-    /// Drop every entry and sidecar (counters are kept).
+    /// Drop every entry (counters are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("compiled cache poisoned");
-            shard.entries.clear();
-        }
-        for shard in &self.sidecars {
-            shard.lock().expect("sidecar cache poisoned").clear();
-        }
-        self.count.store(0, Ordering::Relaxed);
+        self.state().entries.clear();
     }
 }
 
@@ -570,7 +462,6 @@ mod tests {
         let (a, b, c) = (variant(0.0), variant(1.0), variant(2.0));
         cache.get_or_compile(&a).unwrap();
         cache.get_or_compile(&b).unwrap();
-        cache.put_sidecar(b.content_hash(), Arc::new(vec![1u8]));
         // Touch `a` so `b` is the LRU entry, then overflow with `c`.
         assert!(cache.get_or_compile(&a).unwrap().hit);
         cache.get_or_compile(&c).unwrap();
@@ -578,26 +469,7 @@ mod tests {
         assert!(cache.get_or_compile(&a).unwrap().hit, "a survived");
         assert!(cache.get_or_compile(&c).unwrap().hit, "c survived");
         assert!(!cache.get_or_compile(&b).unwrap().hit, "b was evicted");
-        assert!(
-            cache.sidecar::<Vec<u8>>(b.content_hash()).is_none(),
-            "b's sidecar went with it"
-        );
         assert!(tel.report().counter("ir_cache.evictions") >= 2);
-    }
-
-    #[test]
-    fn sidecar_round_trips_typed_artifacts() {
-        let cache = CompiledCache::new();
-        let ir = small_jtl_ir();
-        let hash = ir.content_hash();
-        assert!(cache.sidecar::<Vec<u32>>(hash).is_none());
-        cache.put_sidecar(hash, Arc::new(vec![1u32, 2, 3]));
-        assert_eq!(*cache.sidecar::<Vec<u32>>(hash).unwrap(), vec![1, 2, 3]);
-        // Type-keyed: a different type under the same hash is independent.
-        assert!(cache.sidecar::<String>(hash).is_none());
-        cache.clear();
-        assert!(cache.sidecar::<Vec<u32>>(hash).is_none());
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -676,7 +548,6 @@ mod tests {
         });
         assert!(cache.len() <= CAP, "cap holds after concurrent churn");
         assert!(cache.misses() >= THREADS as u64, "each distinct IR compiled");
-        assert_eq!(cache.count.load(Ordering::Relaxed), cache.len());
     }
 
     #[test]
@@ -710,38 +581,86 @@ mod tests {
         }
     }
 
+    /// Two IRs with different content.
+    fn two_distinct_irs() -> (Ir, Ir) {
+        let a = small_jtl_ir();
+        let mut b = a.clone();
+        if let super::super::IrNode::Source { pulses } = &mut b.nodes[0] {
+            pulses[0] += 1.0;
+        }
+        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
+        (a, b)
+    }
+
+    /// `get_or_compile`, but filed under `hash` instead of the IR's own.
+    fn lookup_as(cache: &CompiledCache, hash: u64, ir: &Ir) -> CacheOutcome {
+        cache.lookup(hash, ir.canonical_bytes(), ir.to_circuit().unwrap())
+    }
+
     #[test]
-    fn sidecars_preloaded_concurrently_account_hits_per_shard() {
-        let tel = Telemetry::new();
-        let cache = Arc::new(CompiledCache::new().with_telemetry(&tel));
-        let base = small_jtl_ir();
-        let irs: Vec<_> = (0..6)
-            .map(|t| {
-                let mut ir = base.clone();
-                if let super::super::IrNode::Source { pulses } = &mut ir.nodes[0] {
-                    for p in pulses.iter_mut() {
-                        *p += t as f64;
+    fn colliding_hashes_keep_their_own_entries() {
+        const HASH: u64 = 0x5eed;
+        let cache = CompiledCache::new();
+        let (ir_a, ir_b) = two_distinct_irs();
+        let a = lookup_as(&cache, HASH, &ir_a);
+        let b = lookup_as(&cache, HASH, &ir_b);
+        assert!(!a.hit && !b.hit);
+        assert_eq!((cache.misses(), cache.len()), (2, 2));
+        assert!(!Arc::ptr_eq(&a.compiled, &b.compiled));
+        let a2 = lookup_as(&cache, HASH, &ir_a);
+        let b2 = lookup_as(&cache, HASH, &ir_b);
+        assert!(a2.hit && b2.hit);
+        assert!(
+            Arc::ptr_eq(&a2.compiled, &a.compiled),
+            "a gets its own tables"
+        );
+        assert!(
+            Arc::ptr_eq(&b2.compiled, &b.compiled),
+            "b gets its own tables"
+        );
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.singleflight_waits()),
+            (2, 2, 0)
+        );
+    }
+
+    #[test]
+    fn a_colliding_caller_waits_on_the_flight_then_compiles_its_own() {
+        // Whichever caller claims the flight first holds its compile open
+        // in the hook until the other has registered a wait on it (bounded,
+        // so a missing wait fails the assertions instead of hanging). The
+        // waiter then compiles its own entry; the hook lets that through.
+        const HASH: u64 = 0x5eed;
+        let cache = Arc::new(CompiledCache::new());
+        {
+            let cache_ref = Arc::downgrade(&cache);
+            let first = std::sync::atomic::AtomicBool::new(true);
+            cache.set_compile_hook(Box::new(move || {
+                if first.swap(false, Ordering::SeqCst) {
+                    let cache = cache_ref.upgrade().expect("cache outlives its hook");
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while cache.singleflight_waits() == 0 && std::time::Instant::now() < deadline {
+                        std::thread::yield_now();
                     }
                 }
-                ir
-            })
-            .collect();
-        for ir in &irs {
-            cache.put_sidecar(ir.content_hash(), Arc::new(ir.content_hash()));
+            }));
         }
-        std::thread::scope(|s| {
-            for ir in &irs {
-                let cache = Arc::clone(&cache);
-                s.spawn(move || {
-                    let hash = ir.content_hash();
-                    let got = cache.sidecar::<u64>(hash).expect("preloaded");
-                    assert_eq!(*got, hash, "sidecar shards never cross wires");
-                    assert!(cache.sidecar::<String>(hash).is_none());
-                });
-            }
+        let (ir_a, ir_b) = two_distinct_irs();
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| lookup_as(&cache, HASH, &ir_a));
+            let b = s.spawn(|| lookup_as(&cache, HASH, &ir_b));
+            (a.join().unwrap(), b.join().unwrap())
         });
-        let report = tel.report();
-        assert_eq!(report.counter("ir_cache.sidecar_hits"), 6);
-        assert_eq!(report.counter("ir_cache.sidecar_misses"), 6);
+        assert!(!a.hit && !b.hit, "the waiter compiles its own entry");
+        assert_eq!(cache.singleflight_waits(), 1);
+        assert_eq!((cache.misses(), cache.len()), (2, 2));
+        assert!(Arc::ptr_eq(
+            &lookup_as(&cache, HASH, &ir_a).compiled,
+            &a.compiled
+        ));
+        assert!(Arc::ptr_eq(
+            &lookup_as(&cache, HASH, &ir_b).compiled,
+            &b.compiled
+        ));
     }
 }

@@ -52,8 +52,8 @@ pub use dual_rail::{dr_and, dr_fork, dr_input, dr_inspect, dr_not, dr_or, dr_xor
 pub use ir_fixtures::{all_design_irs, design_ir, design_ir_with_expected_outputs};
 pub use margins::{
     decision_tree_margin, design_spec, find_first_pass, find_first_pass_uniform,
-    ripple_adder_margin, shmoo_design_names, shmoo_map, Boundary, CellState, MarginAnalysis,
-    MarginPoint, ShmooMap, ShmooOptions,
+    ripple_adder_margin, shmoo_design_names, shmoo_map, shmoo_scale_is_valid, Boundary,
+    CellState, MarginAnalysis, MarginPoint, ShmooMap, ShmooOptions,
 };
 pub use registers::{ripple_counter, shift_register};
 pub use ring::ring_oscillator;

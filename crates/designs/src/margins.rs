@@ -22,7 +22,7 @@ use crate::adder::full_adder_sync;
 use crate::bitonic::bitonic_sorter_with_inputs;
 use crate::decision_tree::{decision_tree_with_inputs, Tree};
 use crate::minmax::min_max;
-use crate::race_tree::{race_tree_with_inputs, Thresholds};
+use crate::race_tree::{race_tree, Thresholds};
 use crate::ripple_adder::{decode_sum, ripple_adder_with_inputs};
 use crate::xsfq_adder::{full_adder_xsfq, DualRail};
 use rlse_core::circuit::Circuit;
@@ -392,13 +392,19 @@ pub fn design_spec(name: &str) -> (ScaledBuild, OutputCheck) {
 /// `12·s` ps and rounds are `120·s` ps apart. Tight scales collide the
 /// rounds inside the comparator cells.
 fn build_min_max(s: f64) -> Circuit {
+    let [a0, a1, b0, b1] = min_max_times(s);
     let mut c = Circuit::new();
-    let a = c.inp_at(&[30.0, 30.0 + 120.0 * s], "A");
-    let b = c.inp_at(&[30.0 + 12.0 * s, 30.0 + 132.0 * s], "B");
+    let a = c.inp_at(&[a0, a1], "A");
+    let b = c.inp_at(&[b0, b1], "B");
     let (low, high) = min_max(&mut c, a, b).expect("valid min_max bench");
     c.inspect(low, "LOW");
     c.inspect(high, "HIGH");
     c
+}
+
+/// A's two pulse times, then B's.
+fn min_max_times(s: f64) -> [f64; 4] {
+    [30.0, 30.0 + 120.0 * s, 30.0 + 12.0 * s, 30.0 + 132.0 * s]
 }
 
 fn check_min_max(ev: &Events) -> bool {
@@ -410,10 +416,24 @@ fn check_min_max(ev: &Events) -> bool {
 /// Race tree classifying toward label `a`: feature 1 sits `30·s` ps below
 /// its 50 ps threshold, so tight scales put the race photo-finish close.
 fn build_race_tree(s: f64) -> Circuit {
+    let [f1, f2, start] = race_tree_times(s);
     let mut c = Circuit::new();
-    race_tree_with_inputs(&mut c, 50.0 - 30.0 * s, 10.0, 20.0, Thresholds::default())
-        .expect("valid race-tree bench");
+    let f1 = c.inp_at(&[f1], "f1");
+    let f2 = c.inp_at(&[f2], "f2");
+    let start = c.inp_at(&[start], "start");
+    let labels =
+        race_tree(&mut c, f1, f2, start, Thresholds::default()).expect("valid race-tree bench");
+    for (w, n) in labels.iter().zip(["a", "b", "c", "d"]) {
+        c.inspect(*w, n);
+    }
     c
+}
+
+/// The pulse times of features f1 and f2 and of the start pulse at 20 ps;
+/// each feature arrives its value after the start.
+fn race_tree_times(s: f64) -> [f64; 3] {
+    let start = 20.0;
+    [start + (50.0 - 30.0 * s), start + 10.0, start]
 }
 
 fn check_race_tree(ev: &Events) -> bool {
@@ -427,15 +447,21 @@ fn check_race_tree(ev: &Events) -> bool {
 /// ps (nominal schedule at s = 1). Tight scales fire the phase-1 clock
 /// before the data reaches the capture gates, so the pipeline never emits.
 fn build_adder_sync(s: f64) -> Circuit {
+    let [a, b, clk] = adder_sync_times(s);
     let mut c = Circuit::new();
-    let a = c.inp_at(&[20.0], "A");
-    let b = c.inp_at(&[20.0], "B");
+    let a = c.inp_at(&[a], "A");
+    let b = c.inp_at(&[b], "B");
     let cin = c.inp_at(&[], "CIN");
-    let clk = c.inp_at(&[50.0 * s], "CLK");
+    let clk = c.inp_at(&[clk], "CLK");
     let outs = full_adder_sync(&mut c, a, b, cin, clk).expect("valid sync-adder bench");
     c.inspect(outs.sum, "SUM");
     c.inspect(outs.cout, "COUT");
     c
+}
+
+/// The pulse times of A, B and CLK (CIN stays silent).
+fn adder_sync_times(s: f64) -> [f64; 3] {
+    [20.0, 20.0, 50.0 * s]
 }
 
 fn check_adder_sync(ev: &Events) -> bool {
@@ -455,15 +481,21 @@ fn build_adder_xsfq(s: f64) -> Circuit {
             f: c.inp_at(f_times, &format!("{name}_F")),
         }
     };
-    let a = mk(&mut c, true, 20.0, "A");
-    let b = mk(&mut c, true, 20.0 + 6.0 * s, "B");
-    let cin = mk(&mut c, false, 20.0 + 12.0 * s, "CIN");
+    let [a, b, cin] = adder_xsfq_times(s);
+    let a = mk(&mut c, true, a, "A");
+    let b = mk(&mut c, true, b, "B");
+    let cin = mk(&mut c, false, cin, "CIN");
     let outs = full_adder_xsfq(&mut c, a, b, cin).expect("valid xSFQ-adder bench");
     c.inspect(outs.sum.t, "SUM_T");
     c.inspect(outs.sum.f, "SUM_F");
     c.inspect(outs.cout.t, "COUT_T");
     c.inspect(outs.cout.f, "COUT_F");
     c
+}
+
+/// The pulse times of operands A, B and CIN.
+fn adder_xsfq_times(s: f64) -> [f64; 3] {
+    [20.0, 20.0 + 6.0 * s, 20.0 + 12.0 * s]
 }
 
 fn check_adder_xsfq(ev: &Events) -> bool {
@@ -481,13 +513,16 @@ fn check_adder_xsfq(ev: &Events) -> bool {
 /// beyond, see [`crate::bitonic::bitonic_rank_gap`]), so tight scales leave
 /// the comparators no timing headroom to rank-order the pulses.
 fn build_bitonic(n: usize, s: f64) -> Circuit {
-    let gap = crate::bitonic::bitonic_rank_gap(n);
-    let times: Vec<f64> = (0..n)
-        .map(|k| 20.0 + gap * s * ((k * 7 + 3) % n) as f64)
-        .collect();
     let mut c = Circuit::new();
-    bitonic_sorter_with_inputs(&mut c, &times).expect("valid bitonic bench");
+    bitonic_sorter_with_inputs(&mut c, &bitonic_times(n, s)).expect("valid bitonic bench");
     c
+}
+
+fn bitonic_times(n: usize, s: f64) -> Vec<f64> {
+    let gap = crate::bitonic::bitonic_rank_gap(n);
+    (0..n)
+        .map(|k| 20.0 + gap * s * ((k * 7 + 3) % n) as f64)
+        .collect()
 }
 
 fn check_bitonic(n: usize, ev: &Events) -> bool {
@@ -525,6 +560,33 @@ fn build_bitonic_32(s: f64) -> Circuit {
 }
 fn check_bitonic_32(ev: &Events) -> bool {
     check_bitonic(32, ev)
+}
+
+/// True if `name`'s bench can be built at time scale `s`: every stimulus
+/// pulse lands at a finite, non-negative time. The builder panics
+/// otherwise: for most designs at a negative scale, for all at a scale so
+/// large that a pulse time overflows, and for `race_tree` above `s = 7/3`.
+///
+/// # Panics
+///
+/// Panics if `name` is not one of [`shmoo_design_names`].
+pub fn shmoo_scale_is_valid(name: &str, s: f64) -> bool {
+    // The bench builders take their pulse times from these same functions.
+    let times = match name {
+        "min_max" => min_max_times(s).to_vec(),
+        "race_tree" => race_tree_times(s).to_vec(),
+        "adder_sync" => adder_sync_times(s).to_vec(),
+        "adder_xsfq" => adder_xsfq_times(s).to_vec(),
+        "bitonic_4" => bitonic_times(4, s),
+        "bitonic_8" => bitonic_times(8, s),
+        "bitonic_16" => bitonic_times(16, s),
+        "bitonic_32" => bitonic_times(32, s),
+        other => panic!(
+            "unknown shmoo design '{other}' (expected one of {:?})",
+            shmoo_design_names()
+        ),
+    };
+    times.iter().all(|t| t.is_finite() && *t >= 0.0)
 }
 
 /// Sweep a design across the (σ, time-scale) grid and classify every cell.
@@ -613,6 +675,24 @@ pub fn shmoo_map(design: &str, sigmas: &[f64], scales: &[f64], opts: &ShmooOptio
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scales_that_would_panic_the_builders_are_invalid() {
+        for &name in shmoo_design_names() {
+            for s in [0.0, 1.0, 2.0] {
+                assert!(shmoo_scale_is_valid(name, s), "{name} at scale {s}");
+                design_spec(name).0(s);
+            }
+            assert_eq!(
+                shmoo_scale_is_valid(name, -3.0),
+                name == "race_tree",
+                "{name}"
+            );
+            assert!(!shmoo_scale_is_valid(name, 1e308), "{name}");
+        }
+        assert!(shmoo_scale_is_valid("race_tree", 7.0 / 3.0));
+        assert!(!shmoo_scale_is_valid("race_tree", 2.5));
+    }
 
     #[test]
     fn adder_margin_clean_at_zero_sigma_and_degrades() {

@@ -45,6 +45,13 @@
 //! model-checker states and wall-clock seconds, and the simulation time
 //! horizon. Requests asking for more are clamped, and the effective values
 //! are echoed in the response.
+//!
+//! Every request field is read strictly: a value of the wrong JSON type, a
+//! negative horizon or budget, a `shmoo` axis the design's bench cannot be
+//! built on, or a feedback circuit with no finite horizon is answered with
+//! an `"ok":false` line before any engine runs. A finite horizon is not
+//! bounded further, so a feedback circuit with a huge `until` still runs
+//! until it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -57,6 +64,7 @@ pub use obs::{
     SchedStats,
 };
 
+use rlse_core::compiled::CompiledCircuit;
 use rlse_core::ir::json::JsonValue;
 use rlse_core::ir::{CompiledCache, Ir, IrQuery};
 use rlse_core::prelude::*;
@@ -314,18 +322,41 @@ fn telemetry_obj(report: &TelemetryReport) -> JsonValue {
     )
 }
 
-/// An optional non-negative integer request field (`seed`, `trials`,
-/// `max_states`), read exactly: absent is `None`, and a present value that
-/// is not an integer in `[0, 2^53)` — fractional, negative, too large to be
-/// exact in a JSON number, or not a number — is an in-band error.
-fn get_count(req: &JsonValue, key: &str) -> Result<Option<u64>, RequestError> {
+/// An optional request field, read strictly: absent is `None`, and a
+/// present value that `read` refuses is an in-band error naming the `rule`
+/// it breaks — never silently ignored.
+fn get_field<T>(
+    req: &JsonValue,
+    key: &str,
+    rule: &str,
+    read: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Option<T>, RequestError> {
     req.get(key)
-        .map(|v| {
-            v.as_usize()
-                .map(|n| n as u64)
-                .ok_or_else(|| RequestError(format!("'{key}' must be an integer in [0, 2^53)")))
-        })
+        .map(|v| read(v).ok_or_else(|| RequestError(format!("'{key}' must be {rule}"))))
         .transpose()
+}
+
+/// An optional non-negative integer request field (`seed`, `trials`,
+/// `max_states`), read exactly: a present value that is not an integer in
+/// `[0, 2^53)` — fractional, negative, too large to be exact in a JSON
+/// number, or not a number — is an in-band error.
+fn get_count(req: &JsonValue, key: &str) -> Result<Option<u64>, RequestError> {
+    get_field(req, key, "an integer in [0, 2^53)", |v| {
+        v.as_usize().map(|n| n as u64)
+    })
+}
+
+/// An optional non-negative number field (`until`, `max_seconds`,
+/// `tolerance`).
+fn get_nonneg(req: &JsonValue, key: &str) -> Result<Option<f64>, RequestError> {
+    get_field(req, key, "a non-negative number", |v| {
+        v.as_f64().filter(|x| *x >= 0.0)
+    })
+}
+
+/// An optional boolean field (`check`, `adaptive`).
+fn get_bool(req: &JsonValue, key: &str) -> Result<Option<bool>, RequestError> {
+    get_field(req, key, "true or false", JsonValue::as_bool)
 }
 
 fn events_obj(events: &Events) -> JsonValue {
@@ -616,19 +647,37 @@ impl Server {
         Ok((ir, outcome))
     }
 
+    /// The request's simulation horizon: its `until` clamped to
+    /// `max_until`, or infinite when neither sets one. A circuit with a
+    /// feedback loop needs a finite horizon, or its run would never end.
+    fn horizon(
+        &self,
+        req: &JsonValue,
+        compiled: &CompiledCircuit,
+        ctx: &mut ReqCtx,
+    ) -> Result<f64, RequestError> {
+        let requested = get_nonneg(req, "until")?;
+        let until = requested.unwrap_or(f64::INFINITY).min(self.opts.max_until);
+        if requested.is_some_and(|r| until < r) {
+            ctx.clamps.push("until");
+        }
+        if !until.is_finite() && compiled.has_cycle() {
+            return Err(RequestError(
+                "the circuit has a feedback loop, so the request needs a finite 'until'".into(),
+            ));
+        }
+        Ok(until)
+    }
+
     fn simulate(
         &self,
         req: &JsonValue,
         ctx: &mut ReqCtx,
     ) -> Result<Vec<(String, JsonValue)>, RequestError> {
         let (_ir, outcome) = self.load_ir(req, ctx)?;
+        let until = self.horizon(req, &outcome.compiled, ctx)?;
         let mut sim = Simulation::with_compiled(outcome.circuit, outcome.compiled);
         sim.set_telemetry(&ctx.tel);
-        let requested = req.get("until").and_then(JsonValue::as_f64);
-        let until = requested.unwrap_or(f64::INFINITY).min(self.opts.max_until);
-        if requested.is_some_and(|r| until < r) {
-            ctx.clamps.push("until");
-        }
         if until.is_finite() {
             sim.set_until(Some(until));
         }
@@ -658,29 +707,22 @@ impl Server {
             ctx.clamps.push("trials");
         }
         let seed = get_count(req, "seed")?.unwrap_or(0);
-        let requested_until = req.get("until").and_then(JsonValue::as_f64);
-        let until = requested_until
-            .unwrap_or(f64::INFINITY)
-            .min(self.opts.max_until);
-        if requested_until.is_some_and(|r| until < r) {
-            ctx.clamps.push("until");
-        }
+        let until = self.horizon(req, &outcome.compiled, ctx)?;
         let variability = req.get("variability").map(parse_variability).transpose()?;
         // `check:true` turns the IR's expected-output query into the
         // per-trial verdict (a trial passes when every listed output fires
         // at exactly the listed times).
-        let expected: Option<Vec<(String, Vec<f64>)>> =
-            if req.get("check").and_then(JsonValue::as_bool) == Some(true) {
-                let found = ir.queries.iter().find_map(|q| match q {
-                    IrQuery::OutputsOnlyAt { outputs } => Some(outputs.clone()),
-                    _ => None,
-                });
-                Some(found.ok_or_else(|| {
-                    RequestError("check:true needs an outputs_only_at query in the IR".into())
-                })?)
-            } else {
-                None
-            };
+        let expected: Option<Vec<(String, Vec<f64>)>> = if get_bool(req, "check")? == Some(true) {
+            let found = ir.queries.iter().find_map(|q| match q {
+                IrQuery::OutputsOnlyAt { outputs } => Some(outputs.clone()),
+                _ => None,
+            });
+            Some(found.ok_or_else(|| {
+                RequestError("check:true needs an outputs_only_at query in the IR".into())
+            })?)
+        } else {
+            None
+        };
 
         let mut sweep = Sweep::over(move || {
             ir.to_circuit().expect("IR validated by the cache lookup")
@@ -752,25 +794,42 @@ impl Server {
                 .ok_or_else(|| RequestError(format!("shmoo needs a non-empty '{key}' array")))
         };
         let sigmas = axis("sigmas")?;
+        if sigmas
+            .iter()
+            .any(|sigma| !(sigma.is_finite() && *sigma >= 0.0))
+        {
+            return Err(RequestError(
+                "'sigmas' values must be finite and non-negative".into(),
+            ));
+        }
         let scales = axis("scales")?;
+        if let Some(i) = scales
+            .iter()
+            .position(|&scale| !rlse_designs::shmoo_scale_is_valid(design, scale))
+        {
+            return Err(RequestError(format!(
+                "'scales' value at index {i} puts a stimulus pulse of '{design}' \
+                 at a negative or non-finite time"
+            )));
+        }
         let mut opts = rlse_designs::ShmooOptions {
             threads: self.engine_threads,
             ..Default::default()
         };
-        if let Some(t) = get_count(req, "trials")? {
-            opts.trials = t;
-        }
-        if opts.trials > self.opts.max_trials {
+        let requested_trials = get_count(req, "trials")?;
+        opts.trials = requested_trials
+            .unwrap_or(opts.trials)
+            .min(self.opts.max_trials);
+        if requested_trials.is_some_and(|r| opts.trials < r) {
             ctx.clamps.push("trials");
         }
-        opts.trials = opts.trials.min(self.opts.max_trials);
         if let Some(seed) = get_count(req, "seed")? {
             opts.master_seed = seed;
         }
-        if let Some(tol) = req.get("tolerance").and_then(JsonValue::as_f64) {
+        if let Some(tol) = get_nonneg(req, "tolerance")? {
             opts.tolerance = tol;
         }
-        if let Some(adaptive) = req.get("adaptive").and_then(JsonValue::as_bool) {
+        if let Some(adaptive) = get_bool(req, "adaptive")? {
             opts.adaptive = adaptive;
         }
         let map = rlse_designs::shmoo_map(design, &sigmas, &scales, &opts);
@@ -817,7 +876,7 @@ impl Server {
         if req_states.is_some_and(|r| max_states < r) {
             ctx.clamps.push("max_states");
         }
-        let req_seconds = req.get("max_seconds").and_then(JsonValue::as_f64);
+        let req_seconds = get_nonneg(req, "max_seconds")?;
         let max_seconds = req_seconds
             .unwrap_or(self.opts.max_seconds)
             .min(self.opts.max_seconds);
@@ -1138,6 +1197,154 @@ mod tests {
             let good = server.handle_line(&line(kind, field, exact));
             assert!(good.contains("\"ok\":true"), "{kind}.{field}: {good}");
         }
+    }
+
+    #[test]
+    fn optional_fields_are_read_strictly_or_rejected() {
+        let server = Server::new(ServeOptions::default());
+        let ir = rlse_designs::design_ir("min_max", 1.0)
+            .to_value()
+            .to_compact();
+        let line = |kind: &str, field: &str, value: &str| {
+            let body = if kind == "shmoo" {
+                "\"design\":\"min_max\",\"sigmas\":[0.1],\"scales\":[1.0]".to_string()
+            } else {
+                format!("\"ir\":{ir}")
+            };
+            format!("{{\"kind\":\"{kind}\",\"trials\":2,\"{field}\":{value},{body}}}")
+        };
+        let number = "a non-negative number";
+        let boolean = "true or false";
+        let fields = [
+            ("simulate", "until", number),
+            ("sweep", "until", number),
+            ("model_check", "max_seconds", number),
+            ("shmoo", "tolerance", number),
+            ("sweep", "check", boolean),
+            ("shmoo", "adaptive", boolean),
+        ];
+        for (kind, field, rule) in fields {
+            let (bads, good) = if rule == number {
+                (["\"100\"", "-1", "[]", "null"], "1")
+            } else {
+                (["\"yes\"", "0", "{}", "null"], "false")
+            };
+            // Wrong types and negative numbers each get the same
+            // deterministic in-band error instead of being ignored.
+            for bad in bads {
+                let r = server.handle_line(&line(kind, field, bad));
+                let want = format!("\"ok\":false,\"error\":\"'{field}' must be {rule}\"");
+                assert!(r.contains(&want), "{kind}.{field}={bad}: {r}");
+                assert_eq!(r, server.handle_line(&line(kind, field, bad)));
+            }
+            let r = server.handle_line(&line(kind, field, good));
+            assert!(r.contains("\"ok\":true"), "{kind}.{field}={good}: {r}");
+        }
+    }
+
+    #[test]
+    fn shmoo_records_a_trials_clamp_only_when_asked_for_more() {
+        let server = Server::new(ServeOptions {
+            max_trials: 8,
+            ..Default::default()
+        });
+        let line = |trials: &str| {
+            format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"min_max\",\"sigmas\":[0.1],\
+                 \"scales\":[1.0]{trials}}}"
+            )
+        };
+        for (trials, clamped) in [
+            ("", false),
+            (",\"trials\":8", false),
+            (",\"trials\":9", true),
+        ] {
+            let (r, rec, _) = server.handle_recorded(&line(trials));
+            assert!(r.contains("\"trials\":8"), "{r}");
+            assert_eq!(rec.clamps.contains(&"trials"), clamped, "trials{trials}");
+        }
+    }
+
+    /// The merger → splitter → JTL feedback ring, as an IR document.
+    fn ring_ir() -> Ir {
+        let mut c = Circuit::new();
+        let seed = c.inp_at(&[10.0], "SEED");
+        let ring = rlse_designs::ring_oscillator(&mut c, seed, 1).unwrap();
+        c.inspect(ring.tap, "TAP");
+        Ir::from_circuit(&c).unwrap()
+    }
+
+    #[test]
+    fn hostile_fixture_lines_are_answered_in_band() {
+        // Each of the first three lines used to panic a worker (shmoo
+        // scales that put a stimulus pulse at a negative or infinite time)
+        // or run without bound (a feedback ring with no horizon); the
+        // trailing ping proves the server is still serving.
+        let fixture = include_str!("../fixtures/hostile.jsonl");
+        let lines: Vec<&str> = fixture.lines().collect();
+        let ring = JsonValue::parse(lines[2]).unwrap();
+        assert_eq!(Ir::from_value(ring.get("ir").unwrap()).unwrap(), ring_ir());
+        let server = Server::new(ServeOptions {
+            workers: 2,
+            ..Default::default()
+        });
+        let mut out = Vec::new();
+        let summary = server.serve_reader(fixture.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let responses: Vec<&str> = out.lines().collect();
+        assert_eq!(responses.len(), 4, "{out}");
+        for r in &responses[..3] {
+            assert!(r.contains("\"ok\":false"), "{r}");
+        }
+        assert!(responses[0].contains("'scales' value at index 0"), "{out}");
+        assert!(responses[1].contains("'scales' value at index 0"), "{out}");
+        assert!(responses[2].contains("feedback loop"), "{out}");
+        assert_eq!(responses[3], "{\"kind\":\"ping\",\"ok\":true}");
+        assert_eq!((summary.requests, summary.errors), (4, 3));
+    }
+
+    #[test]
+    fn a_feedback_ring_needs_a_finite_until() {
+        let server = Server::new(ServeOptions::default());
+        let ir = ring_ir().to_value().to_compact();
+        for kind in ["simulate", "sweep"] {
+            let r =
+                server.handle_line(&format!("{{\"kind\":\"{kind}\",\"trials\":2,\"ir\":{ir}}}"));
+            assert!(r.contains("\"ok\":false"), "{r}");
+            assert!(r.contains("needs a finite 'until'"), "{r}");
+            let r = server.handle_line(&format!(
+                "{{\"kind\":\"{kind}\",\"trials\":2,\"until\":500,\"ir\":{ir}}}"
+            ));
+            assert!(r.contains("\"ok\":true"), "{r}");
+        }
+        // A server-wide horizon is a finite horizon too.
+        let capped = Server::new(ServeOptions {
+            max_until: 500.0,
+            ..Default::default()
+        });
+        let r = capped.handle_line(&format!("{{\"kind\":\"simulate\",\"ir\":{ir}}}"));
+        assert!(r.contains("\"ok\":true"), "{r}");
+    }
+
+    #[test]
+    fn hostile_shmoo_axes_are_rejected_before_the_map_runs() {
+        let server = Server::new(ServeOptions::default());
+        let line = |design: &str, sigmas: &str, scales: &str| {
+            format!(
+                "{{\"kind\":\"shmoo\",\"design\":\"{design}\",\"sigmas\":{sigmas},\
+                 \"scales\":{scales},\"trials\":2}}"
+            )
+        };
+        let r = server.handle_line(&line("min_max", "[0.1,-0.1]", "[1]"));
+        assert!(
+            r.contains("'sigmas' values must be finite and non-negative"),
+            "{r}"
+        );
+        let r = server.handle_line(&line("race_tree", "[0.1]", "[1,3]"));
+        assert!(r.contains("'scales' value at index 1"), "{r}");
+        // race_tree's stimulus stays non-negative at a negative scale.
+        let r = server.handle_line(&line("race_tree", "[0.1]", "[-1]"));
+        assert!(r.contains("\"ok\":true"), "{r}");
     }
 
     #[test]
