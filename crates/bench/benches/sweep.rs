@@ -4,13 +4,13 @@
 //! * `serial_rebuild` — the pre-sweep baseline: rebuild the circuit and a
 //!   fresh `Simulation` for every trial, single-threaded (what the old
 //!   `robustness` binary did);
-//! * `sweep_1_thread` — the sweep pinned to one worker, isolating the
-//!   lane kernel's compile-once, observed-only recording win;
+//! * `sweep_1_thread` — the sweep pinned to one worker, isolating its
+//!   compile-once, observed-only recording win;
 //! * `sweep_all_threads` — the sweep on all cores, adding the parallel
 //!   fan-out win.
 //!
-//! A batch-width scan follows, and a final smoke check prints the measured
-//! speedup of the parallel sweep over the serial-rebuild baseline.
+//! A final smoke check prints the measured speedup of the parallel sweep
+//! over the serial-rebuild baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rlse_core::prelude::*;
@@ -42,13 +42,12 @@ fn serial_rebuild(trials: u64) -> u64 {
     ok
 }
 
-fn run_sweep(trials: u64, threads: usize, width: usize) -> SweepReport {
+fn run_sweep(trials: u64, threads: usize) -> SweepReport {
     Sweep::over(build)
         .variability(|| Variability::Gaussian { std: SIGMA })
         .trials(trials)
         .master_seed(SEED)
         .threads(threads)
-        .batch_width(width)
         .run()
 }
 
@@ -56,21 +55,8 @@ fn monte_carlo(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_ripple_adder_1000");
     group.sample_size(10);
     group.bench_function("serial_rebuild", |b| b.iter(|| serial_rebuild(TRIALS)));
-    group.bench_function("sweep_1_thread", |b| b.iter(|| run_sweep(TRIALS, 1, 16)));
-    group.bench_function("sweep_all_threads", |b| b.iter(|| run_sweep(TRIALS, 0, 16)));
-    group.finish();
-}
-
-/// Batch width scan at one thread: how wide the lane blocks should be
-/// before cache pressure eats the amortization win.
-fn batch_width_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_width_ripple_adder_1000");
-    group.sample_size(10);
-    for width in [1usize, 8, 16, 64, 256] {
-        group.bench_function(format!("w{width}"), |b| {
-            b.iter(|| run_sweep(TRIALS, 1, width))
-        });
-    }
+    group.bench_function("sweep_1_thread", |b| b.iter(|| run_sweep(TRIALS, 1)));
+    group.bench_function("sweep_all_threads", |b| b.iter(|| run_sweep(TRIALS, 0)));
     group.finish();
 }
 
@@ -79,7 +65,7 @@ fn speedup_summary(_c: &mut Criterion) {
     let baseline_ok = serial_rebuild(TRIALS);
     let baseline = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let report = run_sweep(TRIALS, 0, 64);
+    let report = run_sweep(TRIALS, 0);
     let parallel = t1.elapsed().as_secs_f64();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -94,10 +80,10 @@ fn speedup_summary(_c: &mut Criterion) {
     );
     assert_eq!(
         report,
-        run_sweep(TRIALS, 1, 1),
-        "thread count and batch width must not change the report"
+        run_sweep(TRIALS, 1),
+        "thread count must not change the report"
     );
 }
 
-criterion_group!(benches, monte_carlo, batch_width_scan, speedup_summary);
+criterion_group!(benches, monte_carlo, speedup_summary);
 criterion_main!(benches);

@@ -29,8 +29,9 @@
 //!
 //! A `json_decode` section reports `JsonValue::parse` throughput in MiB/s
 //! on single-string lines of 16 KiB to 1 MiB (flat MiB/s shows the decoder
-//! scales linearly) and on the served bitonic_8 `simulate` request line,
-//! with the host fingerprint (cores, CPU model, rustc, profile) of the run.
+//! scales linearly) and on the served bitonic_8 `simulate` request line.
+//! It and the `sweep_batch` section carry the host fingerprint (cores, CPU
+//! model, rustc, profile) of the run.
 //!
 //! Allocation counts come from a counting global allocator and cover the
 //! whole `run()` call, including the per-run `Events` materialization at the
@@ -217,16 +218,14 @@ fn measure_sim<F: Fn() -> Bench>(name: &'static str, build: F) -> SimRow {
 }
 
 /// One workload at high trial count, on one thread: a per-trial
-/// `Simulation` loop (the "scalar" column) against a [`Sweep`], which runs
-/// the lane kernel. The two are proven bit-identical by
-/// `tests/sweep_batch_differential.rs`; this row prices the
-/// structure-of-arrays win (compile-once, observed-only recording, no
-/// per-trial allocation).
+/// `Simulation::run` loop (the "scalar" column) against a [`Sweep`]. The
+/// two are proven bit-identical by `tests/sweep_batch_differential.rs`;
+/// this row prices what the sweep skips per trial: the circuit check, the
+/// recording of unobserved wires and the `Events` dictionary.
 struct BatchRow {
     name: &'static str,
     trials: u64,
     threads: usize,
-    batch_width: usize,
     scalar_ns_per_trial: f64,
     batch_ns_per_trial: f64,
     blocks: u64,
@@ -246,14 +245,12 @@ where
 {
     const SIGMA: f64 = 0.2;
     const SEED: u64 = 42;
-    const WIDTH: usize = 64;
     let sweep = || {
         Sweep::over(build)
             .variability(|| Variability::Gaussian { std: SIGMA })
             .trials(trials)
             .master_seed(SEED)
             .threads(1)
-            .batch_width(WIDTH)
     };
     // The per-trial loop: one reused simulation, seeded per trial exactly
     // as a sweep seeds it. Returns the count of clean trials.
@@ -296,7 +293,6 @@ where
         name,
         trials,
         threads: 1,
-        batch_width: WIDTH,
         scalar_ns_per_trial: scalar_ns / trials as f64,
         batch_ns_per_trial: batch_ns / trials as f64,
         blocks: report.counter("sweep.blocks"),
@@ -601,8 +597,8 @@ fn main() {
     let sweep_ns_per_trial = sweep_ns / TRIALS as f64;
     let sweep_ns_per_event = sweep_ns_per_trial / adder_events.max(1) as f64;
 
-    // Batch sweep: a per-trial simulation loop vs the sweep's lane kernel
-    // on the same high-trial-count Monte-Carlo workloads (one thread each).
+    // Batch sweep: a per-trial `Simulation::run` loop vs a sweep on the
+    // same high-trial-count Monte-Carlo workloads (one thread each).
     let build_adder8 = || {
         let mut c = Circuit::new();
         ripple_adder_with_inputs(&mut c, 8, 173, 99, false).expect("valid bench");
@@ -760,17 +756,19 @@ fn main() {
         sweep_report.counter("sweep.check_failures"),
         sweep_report.counter("sweep.timing_violations"),
     ));
-    out.push_str("  \"sweep_batch\": [\n");
+    out.push_str(&format!(
+        "  \"sweep_batch\": {{\"host\": {}, \"rows\": [\n",
+        host_fingerprint()
+    ));
     for (i, r) in batch_rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"trials\": {}, \"threads\": {}, \
-             \"batch_width\": {}, \"scalar_ns_per_trial\": {:.1}, \
-             \"batch_ns_per_trial\": {:.1}, \"speedup\": {:.2}, \
-             \"blocks\": {}, \"dispatches\": {}, \"wire_pulses\": {}}}{}\n",
+             \"scalar_ns_per_trial\": {:.1}, \"batch_ns_per_trial\": {:.1}, \
+             \"speedup\": {:.2}, \"blocks\": {}, \"dispatches\": {}, \
+             \"wire_pulses\": {}}}{}\n",
             r.name,
             r.trials,
             r.threads,
-            r.batch_width,
             r.scalar_ns_per_trial,
             r.batch_ns_per_trial,
             r.speedup(),
@@ -780,7 +778,7 @@ fn main() {
             if i + 1 == batch_rows.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ],\n");
+    out.push_str("  ]},\n");
     out.push_str(&format!(
         "  \"verification\": {{\"translate_bitonic_8_median_ns\": {translate_ns:.0}, \
          \"model_check_query2_and_median_ns\": {mc_ns:.0},\n"

@@ -28,11 +28,11 @@ impl Events {
     }
 
     /// Pre-build an events dictionary with one empty entry per observed
-    /// wire, for the sweep lane kernel's per-lane check calls. `names`
-    /// must be sorted ascending, so the `BTreeMap` iterates in exactly
-    /// that order — the contract [`refill_named`](Self::refill_named)
-    /// relies on. Only observed wires are present (anonymous internal
-    /// wires are not recorded by the lane kernel).
+    /// wire, for a sweep's per-trial check calls. `names` must be sorted
+    /// ascending, so the `BTreeMap` iterates in exactly that order — the
+    /// contract [`refill_named`](Self::refill_named) relies on. Only
+    /// observed wires are present (a sweep does not record anonymous
+    /// internal wires).
     pub(crate) fn preallocated(names: &[String]) -> Self {
         Events {
             named: names.iter().map(|n| (n.clone(), Vec::new())).collect(),

@@ -11,16 +11,15 @@
 //! * [`functional`] — behavioral "holes" mixing software models into pulse
 //!   circuits.
 //! * [`sim`] — the discrete-event simulator, with optional firing-delay
-//!   variability. Its Fig. 6 step (batch gathering, dispatch, jitter) is
-//!   the one the sweep kernel runs too.
+//!   variability. Its event loop is the only one: sweeps run it per trial.
 //! * [`compiled`] — the one-time lowering of a circuit into flat dispatch
 //!   tables and interned names that makes the simulator's hot loop
 //!   allocation-free.
 //! * [`sweep`] — deterministically-seeded parallel Monte-Carlo sweeps over
 //!   a circuit under variability (the §5.2 / Fig. 13 experiments): one
-//!   builder, whose structure-of-arrays lane kernel compiles the circuit
-//!   once and is bit-identical to one simulation per trial at any thread
-//!   count and batch width.
+//!   builder that compiles the circuit once, runs each trial through the
+//!   simulator's event loop recording observed wires only, and is
+//!   bit-identical to one full simulation per trial at any thread count.
 //! * [`telemetry`] — zero-cost-when-disabled counters, spans, and timeline
 //!   export shared by the simulator, the sweep engine, and (via `rlse-ta`)
 //!   the model checker.

@@ -20,9 +20,11 @@
 //! [`Events`] dictionary. Compiled tables survive [`Simulation::reset`], so
 //! a simulation reused across trials compiles once, not once per trial.
 //!
-//! The Fig. 6 step itself — `pop_batch`, `dispatch` and `jitter` —
-//! is shared with the Monte-Carlo sweep's lane kernel
-//! ([`crate::sweep`]), so the semantics are written once.
+//! The event loop is written once. [`Simulation::run`] records every
+//! wire's pulses; the Monte-Carlo sweep ([`crate::sweep`]) runs the same
+//! loop per trial and records only the observed wires, through a
+//! wire→slot map. The loop is generic over that recording target, so each
+//! caller's copy compiles to only the recording it does.
 
 use crate::circuit::{Circuit, NodeKind};
 use crate::compiled::{CompiledCircuit, CompiledMachine, CompiledNode};
@@ -74,17 +76,15 @@ impl std::fmt::Debug for Variability {
     }
 }
 
-/// Resolve a variability model to the per-node jitter sigma the kernels
-/// cache: `NaN` means "no jitter for this node" — an absent [`PerCellType`]
-/// (Variability::PerCellType) entry (which draws no RNG sample, matching
-/// the interpreted kernel), or an exact σ = 0. The σ = 0 case must
+/// Resolve a variability model to the per-node jitter sigma the event
+/// loop caches: `NaN` means "no jitter for this node" — an absent
+/// [`PerCellType`](Variability::PerCellType) entry (which draws no RNG
+/// sample, matching the interpreted kernel), or an exact σ = 0. The σ = 0 case must
 /// reproduce the nominal run **bit for bit**, and applying a `0·sample`
 /// term would not: the delay round-trips through `t + (fire − t)`, which is
 /// not an f64 identity. `0.0` marks a [`Custom`](Variability::Custom)
-/// model, which always calls the user closure. Shared by the simulator
-/// and the sweep's lane kernel (via [`for_each_sigma`]) so both resolve
-/// identically.
-pub(crate) fn resolve_sigma(v: &Variability, cell: &str) -> f64 {
+/// model, which always calls the user closure.
+fn resolve_sigma(v: &Variability, cell: &str) -> f64 {
     match v {
         Variability::Gaussian { std } => {
             if *std == 0.0 {
@@ -109,12 +109,12 @@ pub(crate) fn resolve_sigma(v: &Variability, cell: &str) -> f64 {
 /// thread-local or global state, so the jitter stream for a given seed is
 /// identical no matter which thread runs the trial.
 #[derive(Debug, Default)]
-pub(crate) struct BoxMuller {
+struct BoxMuller {
     spare: Option<f64>,
 }
 
 impl BoxMuller {
-    pub(crate) fn sample(&mut self, rng: &mut StdRng) -> f64 {
+    fn sample(&mut self, rng: &mut StdRng) -> f64 {
         if let Some(s) = self.spare.take() {
             return s;
         }
@@ -167,14 +167,13 @@ impl std::fmt::Display for TraceEntry {
 
 /// A pending pulse: delivered to input `port` of `node` at `time`. `seq`
 /// numbers pulses in push order within one run, so the heap order — a
-/// min-heap on `(time, node, seq)` — is strictly total and every engine
-/// pops the same sequence. Shared by the simulator and the sweep kernel.
+/// min-heap on `(time, node, seq)` — is strictly total.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Pulse {
-    pub(crate) time: Time,
-    pub(crate) node: u32,
-    pub(crate) port: u32,
-    pub(crate) seq: u64,
+struct Pulse {
+    time: Time,
+    node: u32,
+    port: u32,
+    seq: u64,
 }
 
 impl Eq for Pulse {}
@@ -194,18 +193,18 @@ impl PartialOrd for Pulse {
     }
 }
 
-/// Execution counters a pulse kernel accumulates while pumping (only when
+/// Execution counters the event loop accumulates while pumping (only when
 /// telemetry is on), flushed once per run or per sweep worker. Every field
 /// but the heap peak is additive, so sums over trials do not depend on how
 /// trials were split across workers.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Counters {
-    pub(crate) dispatches: u64,
-    pub(crate) transitions: u64,
-    pub(crate) pushed: u64,
-    pub(crate) popped: u64,
-    pub(crate) wire: u64,
-    pub(crate) max_heap: usize,
+    dispatches: u64,
+    transitions: u64,
+    pushed: u64,
+    popped: u64,
+    wire: u64,
+    max_heap: usize,
 }
 
 impl Counters {
@@ -227,10 +226,64 @@ impl Counters {
 /// ports in arrival order), the priority-order working set, and the fired
 /// `(output port, time)` list.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    pub(crate) batch: Vec<u32>,
+struct Scratch {
+    batch: Vec<u32>,
     rest: Vec<u32>,
-    pub(crate) fired: Vec<(u32, f64)>,
+    fired: Vec<(u32, f64)>,
+}
+
+/// Where the event loop records the pulses that appear on wires.
+pub(crate) trait Record {
+    /// Record a pulse at `t` on wire `wire`; true if it was kept.
+    fn record(&mut self, wire: usize, t: Time) -> bool;
+}
+
+/// Every wire's pulse list, indexed by wire: what [`Simulation::run`]
+/// returns as [`Events`].
+impl Record for Vec<Vec<Time>> {
+    #[inline]
+    fn record(&mut self, wire: usize, t: Time) -> bool {
+        self[wire].push(t);
+        true
+    }
+}
+
+/// The observed wires' pulse columns: `slot[wire]` is the wire's column,
+/// or `u32::MAX` if the wire is not recorded (its pulses are still
+/// routed). The sweep's recording target.
+pub(crate) struct Observed<'a> {
+    pub(crate) slot: &'a [u32],
+    pub(crate) columns: &'a mut [Vec<Time>],
+}
+
+impl Record for Observed<'_> {
+    #[inline]
+    fn record(&mut self, wire: usize, t: Time) -> bool {
+        match self.slot[wire] {
+            u32::MAX => false,
+            s => {
+                self.columns[s as usize].push(t);
+                true
+            }
+        }
+    }
+}
+
+/// Why the event loop stopped before its heap ran dry: the raw form of an
+/// [`Error`], which only [`Simulation::run`] spells out (the sweep counts
+/// the kind and moves on).
+#[derive(Debug)]
+pub(crate) enum Halt {
+    /// A Fig. 6 error transition at `node` (the batch is left in the
+    /// simulation's scratch for the diagnostic).
+    Timing {
+        node: usize,
+        transition: u32,
+        time: Time,
+        breach: Breach,
+    },
+    /// A hole returned the wrong number of outputs.
+    Hole(HoleError),
 }
 
 /// `getSimPulses` (Fig. 6): pop the earliest pending pulse and every other
@@ -238,7 +291,7 @@ pub(crate) struct Scratch {
 /// and node, or `None` once the heap is empty or its earliest pulse lies
 /// beyond `until` (every later pulse does too).
 #[inline]
-pub(crate) fn pop_batch(
+fn pop_batch(
     heap: &mut BinaryHeap<Pulse>,
     batch: &mut Vec<u32>,
     until: Option<Time>,
@@ -277,19 +330,17 @@ pub(crate) enum Breach {
 /// priority number first, ties broken by input index), and return the new
 /// `(q, τ_done)`. Fired outputs land in `scratch.fired` at nominal times.
 ///
-/// Θ is read and written in place at `theta[base + input·stride]`: the
-/// simulator passes the node's Θ offset with stride 1, the sweep kernel
-/// its lane-major column with stride `W`. On an error transition the
-/// violating transition's id and the breach come back instead; Θ may then
-/// hold partial updates, which every caller discards with the run.
+/// Θ is read and written in place at `theta[base + input]`, `base` being
+/// the node's Θ offset. On an error transition the violating transition's
+/// id and the breach come back instead; Θ may then hold partial updates,
+/// which the next run's reset discards.
 #[inline]
-pub(crate) fn dispatch(
+fn dispatch(
     m: &CompiledMachine,
     t: Time,
     (mut q, mut td): (u32, Time),
     theta: &mut [f64],
     base: usize,
-    stride: usize,
     scratch: &mut Scratch,
 ) -> Result<(u32, Time), (u32, Breach)> {
     let Scratch { batch, rest, fired } = scratch;
@@ -312,7 +363,7 @@ pub(crate) fn dispatch(
             return Err((tr.id, Breach::TransitionTime { tau_done: td }));
         }
         for &(cin, dist) in &m.pasts[tr.past.0 as usize..tr.past.1 as usize] {
-            let last = theta[base + cin as usize * stride];
+            let last = theta[base + cin as usize];
             if t < last + dist {
                 let breach = Breach::Past {
                     input: cin,
@@ -324,7 +375,7 @@ pub(crate) fn dispatch(
         }
         q = tr.dst;
         td = t + tr.tau_tran;
-        theta[base + sigma as usize * stride] = t;
+        theta[base + sigma as usize] = t;
         for &(o, d) in &m.firings[tr.fire.0 as usize..tr.fire.1 as usize] {
             fired.push((o, t + d));
         }
@@ -337,7 +388,7 @@ pub(crate) fn dispatch(
 /// stream, or the user's `custom` model, clamped so no pulse fires before
 /// its cause.
 #[inline]
-pub(crate) fn jitter(
+fn jitter(
     fired: &mut [(u32, f64)],
     t: Time,
     std: f64,
@@ -353,17 +404,6 @@ pub(crate) fn jitter(
             None => nominal + std * bm.sample(rng),
         };
         fo.1 = t + actual.max(0.0);
-    }
-}
-
-/// Call `f(node, σ)` for every machine node that takes jitter under `v`
-/// (see [`resolve_sigma`]; exempt instances, holes and sources are
-/// skipped). Shared by both kernels so they resolve per-node σ identically.
-pub(crate) fn for_each_sigma(cc: &CompiledCircuit, v: &Variability, mut f: impl FnMut(usize, f64)) {
-    for (node, cn) in cc.nodes.iter().enumerate() {
-        if let CompiledNode::Machine { exempt: false, .. } = cn {
-            f(node, resolve_sigma(v, cc.symbols.resolve(cc.cell[node])));
-        }
     }
 }
 
@@ -419,11 +459,10 @@ pub struct Simulation {
     scratch: Scratch,
     present: Vec<bool>,
     var_std: Vec<f64>,
-    // Telemetry: a shared handle (no-op when disabled), the timeline track
-    // this simulation records spans onto, and a per-node tally scratch
-    // buffer that is only ever allocated when the handle is enabled.
+    // Telemetry: a shared handle (no-op when disabled) and a per-node
+    // tally scratch buffer that is only ever allocated when the handle is
+    // enabled.
     telemetry: Telemetry,
-    tel_track: u32,
     tel_cells: Vec<CellTally>,
 }
 
@@ -448,7 +487,6 @@ impl Simulation {
             present: Vec::new(),
             var_std: Vec::new(),
             telemetry: Telemetry::disabled(),
-            tel_track: 0,
             tel_cells: Vec::new(),
         }
     }
@@ -517,13 +555,6 @@ impl Simulation {
     /// [`telemetry`](Self::telemetry) for a simulation already built).
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.telemetry = tel.clone();
-    }
-
-    /// Set the timeline track (Chrome-trace lane) this simulation's spans
-    /// are recorded onto. Track 0 (the default) is the driving thread;
-    /// simulations run on worker threads should each get their own track.
-    pub fn set_telemetry_track(&mut self, track: u32) {
-        self.tel_track = track;
     }
 
     /// The circuit lowered to flat dispatch tables, compiling it now if this
@@ -645,11 +676,11 @@ impl Simulation {
         };
         self.reset();
         if let Some(t0) = t_compile {
-            self.telemetry.record_span("sim.compile", self.tel_track, t0, 0);
+            self.telemetry.record_span("sim.compile", 0, t0, 0);
         }
         let t_run = self.telemetry.now();
         let mut n = Counters::default();
-        let outcome = self.pump(&mut n, tel_on);
+        let outcome = self.pump_every_wire(&mut n, tel_on);
         if tel_on {
             let tel = &self.telemetry;
             tel.add("sim.runs", 1);
@@ -665,8 +696,8 @@ impl Simulation {
                 "sim.max_heap_depth",
             );
             match &outcome {
-                Err(Error::Timing(_)) => tel.add("sim.timing_violations", 1),
-                Err(_) => tel.add("sim.error_runs", 1),
+                Err(Halt::Timing { .. }) => tel.add("sim.timing_violations", 1),
+                Err(Halt::Hole(_)) => tel.add("sim.error_runs", 1),
                 Ok(()) => {}
             }
             let cc = self.compiled.as_deref().expect("compiled in reset");
@@ -674,15 +705,16 @@ impl Simulation {
                 tel.add_cell(cc.symbols.resolve(cc.cell[node]), tally);
             }
             if let Some(t0) = t_run {
-                tel.record_span("sim.run", self.tel_track, t0, n.dispatches);
+                tel.record_span("sim.run", 0, t0, n.dispatches);
             }
         }
-        outcome?;
+        outcome.map_err(|halt| self.error(halt))?;
         Ok(self.events())
     }
 
     /// One run that tallies into the caller's `counters` (when `count`)
-    /// instead of the attached telemetry handle: the sweep's per-trial path.
+    /// instead of the attached telemetry handle: the sweep's reference
+    /// path, which keeps every wire and the full [`Error`].
     pub(crate) fn run_counted(
         &mut self,
         counters: &mut Counters,
@@ -690,8 +722,47 @@ impl Simulation {
     ) -> Result<Events, Error> {
         self.circuit.check()?;
         self.reset();
-        self.pump(counters, count)?;
+        self.pump_every_wire(counters, count)
+            .map_err(|halt| self.error(halt))?;
         Ok(self.events())
+    }
+
+    /// One run recording into `rec` only, tallying into `counters` (when
+    /// `count`): the sweep's per-trial path. The circuit is not re-checked
+    /// and a failure comes back raw, with no diagnostic built.
+    pub(crate) fn run_into<R: Record>(
+        &mut self,
+        rec: &mut R,
+        counters: &mut Counters,
+        count: bool,
+    ) -> Result<(), Halt> {
+        self.reset();
+        self.pump(rec, counters, count)
+    }
+
+    /// [`pump`](Self::pump) into this simulation's own per-wire lists.
+    fn pump_every_wire(&mut self, n: &mut Counters, count: bool) -> Result<(), Halt> {
+        let mut wires = std::mem::take(&mut self.wire_events);
+        let outcome = self.pump(&mut wires, n, count);
+        self.wire_events = wires;
+        outcome
+    }
+
+    /// Spell out why the last run halted (cold path).
+    #[cold]
+    fn error(&self, halt: Halt) -> Error {
+        match halt {
+            Halt::Hole(e) => e.into(),
+            Halt::Timing {
+                node,
+                transition,
+                time,
+                breach,
+            } => {
+                let cc = self.compiled.as_deref().expect("compiled in reset");
+                violation(cc, node, &self.scratch.batch, transition, time, breach)
+            }
+        }
     }
 
     /// The recorded pulses of the last run, sorted per wire.
@@ -702,12 +773,14 @@ impl Simulation {
         Events::from_wires(&self.circuit, &self.wire_events)
     }
 
-    /// The discrete-event loop over freshly [`reset`](Self::reset) state:
-    /// seed the heap from the stimulus, then pop, dispatch and deliver
-    /// batches until the heap empties or passes the target time. Execution
-    /// counters go to `n` when `count` is set; per-cell tallies to the
-    /// telemetry scratch when a handle is attached.
-    fn pump(&mut self, n: &mut Counters, count: bool) -> Result<(), Error> {
+    /// The discrete-event loop (Fig. 6) over freshly [`reset`](Self::reset)
+    /// state: seed the heap from the stimulus, then pop, dispatch and
+    /// deliver batches until the heap empties or passes the target time.
+    /// Wire pulses within the target time go to `rec`. Execution counters
+    /// go to `n` when `count` is set (`n.wire` counts the pulses `rec`
+    /// kept); per-cell tallies to the telemetry scratch when a handle is
+    /// attached.
+    fn pump<R: Record>(&mut self, rec: &mut R, n: &mut Counters, count: bool) -> Result<(), Halt> {
         // Split the struct into disjoint field borrows so the circuit, the
         // compiled tables, the flat runtime state, and the scratch buffers
         // can be used together.
@@ -722,7 +795,6 @@ impl Simulation {
             states,
             tau_done,
             theta,
-            wire_events,
             heap,
             scratch,
             present,
@@ -752,7 +824,11 @@ impl Simulation {
         var_std.clear();
         if let Some(v) = variability.as_ref() {
             var_std.resize(cc.nodes.len(), f64::NAN);
-            for_each_sigma(cc, v, |node, sigma| var_std[node] = sigma);
+            for (node, cn) in cc.nodes.iter().enumerate() {
+                if let CompiledNode::Machine { exempt: false, .. } = cn {
+                    var_std[node] = resolve_sigma(v, cc.symbols.resolve(cc.cell[node]));
+                }
+            }
         }
         let mut custom = match variability.as_mut() {
             Some(Variability::Custom(f)) => Some(f),
@@ -764,11 +840,8 @@ impl Simulation {
         // Seed the heap from the stimulus schedule (source nodes in circuit
         // order, pulses in declaration order).
         for sp in &cc.stim {
-            if record_ok(sp.time) {
-                wire_events[sp.wire as usize].push(sp.time);
-                if count {
-                    n.wire += 1;
-                }
+            if record_ok(sp.time) && rec.record(sp.wire as usize, sp.time) && count {
+                n.wire += 1;
             }
             if sp.sink.0 != u32::MAX {
                 heap.push(Pulse {
@@ -806,11 +879,13 @@ impl Simulation {
                         (state_before, tau_done[node]),
                         theta,
                         theta_off as usize,
-                        1,
                         scratch,
                     );
-                    let (q, td) = stepped.map_err(|(transition, breach)| {
-                        violation(cc, m, node, &scratch.batch, transition, t, breach)
+                    let (q, td) = stepped.map_err(|(transition, breach)| Halt::Timing {
+                        node,
+                        transition,
+                        time: t,
+                        breach,
                     })?;
                     states[node] = q;
                     tau_done[node] = td;
@@ -862,12 +937,11 @@ impl Simulation {
                     }
                     let outs = hole.call(present, t);
                     if outs.len() != hole.outputs().len() {
-                        return Err(HoleError::ArityMismatch {
+                        return Err(Halt::Hole(HoleError::ArityMismatch {
                             hole: hole.name().to_string(),
                             expected: hole.outputs().len(),
                             got: outs.len(),
-                        }
-                        .into());
+                        }));
                     }
                     let delay = hole.delay();
                     fired.clear();
@@ -929,11 +1003,8 @@ impl Simulation {
             let outs = cc.node_out_wires(node);
             for &(port, t_out) in scratch.fired.iter() {
                 let wire = outs[port as usize] as usize;
-                if record_ok(t_out) {
-                    wire_events[wire].push(t_out);
-                    if count {
-                        n.wire += 1;
-                    }
+                if record_ok(t_out) && rec.record(wire, t_out) && count {
+                    n.wire += 1;
                 }
                 let (sink, sport) = cc.sink[wire];
                 if sink != u32::MAX {
@@ -962,13 +1033,16 @@ impl Simulation {
 #[cold]
 fn violation(
     cc: &CompiledCircuit,
-    m: &CompiledMachine,
     node: usize,
     batch: &[u32],
     transition: u32,
     tau_arr: Time,
     breach: Breach,
 ) -> Error {
+    let CompiledNode::Machine { cm, .. } = cc.nodes[node] else {
+        unreachable!("only machines take error transitions")
+    };
+    let m = &cc.machines[cm as usize];
     let kind = match breach {
         Breach::TransitionTime { tau_done } => ViolationKind::TransitionTime { tau_done },
         Breach::Past {

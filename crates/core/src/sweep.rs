@@ -9,16 +9,14 @@
 //! same jitter stream no matter which thread runs it or how many threads
 //! exist. Per-trial statistics are reduced on the driving thread in trial
 //! order, so the aggregated [`SweepReport`] is **bit-identical** for a given
-//! master seed at any thread count and any batch width.
+//! master seed at any thread count.
 //!
-//! Trials run in blocks of [`batch_width`](Sweep::batch_width) consecutive
-//! trials, dealt round-robin to the workers and stitched back into trial
-//! order. A hole-free circuit is compiled once per sweep and each block
-//! runs on the structure-of-arrays lane kernel. Circuits containing
-//! [`Hole`](crate::functional::Hole) nodes run each trial on a reused
-//! [`Simulation`] instead, since hole closures may carry arbitrary internal
-//! state that lane-blocked execution would corrupt. That per-trial loop is
-//! also the reference the lane kernel is tested against.
+//! The circuit is compiled once per sweep. Each worker runs its trials one
+//! after another on one reused [`Simulation`] over that compiled circuit,
+//! through the same event loop as [`Simulation::run`], recording only the
+//! observed wires. Trials are dealt to the workers round-robin in blocks
+//! of 16 consecutive trials and stitched back into trial order; a sweep
+//! that resolves to one worker runs on the calling thread.
 //!
 //! ```
 //! use rlse_core::prelude::*;
@@ -48,14 +46,17 @@
 //! ```
 
 use crate::circuit::{Circuit, NodeKind};
+use crate::compiled::CompiledCircuit;
 use crate::error::{Error, Time};
 use crate::events::Events;
-use crate::sim::{Counters, Simulation, Variability};
+use crate::sim::{Counters, Halt, Observed, Simulation, Variability};
 use crate::telemetry::Telemetry;
+use std::sync::Arc;
 
-mod lanes;
-
-use lanes::{Kernel, Plan};
+/// Trials per dealt block. Dealing blocks instead of single trials
+/// amortises each block's `Vec` and stitch step; the size never changes
+/// a result, only `sweep.blocks`.
+const BLOCK: usize = 16;
 
 /// SplitMix64 finalizer: derive the RNG seed of trial `trial` from the
 /// sweep's master seed. A pure function of `(master, trial)`, so the
@@ -222,7 +223,7 @@ pub struct TrialDetail {
 /// Per-trial results of a sweep (see [`Sweep::run_detailed`]): the
 /// differential-testing view, where every verdict and pulse time is exposed
 /// instead of aggregated. Comparable with `==`; equal inputs produce
-/// bit-identical details regardless of thread count or batch width.
+/// bit-identical details regardless of thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepDetails {
     /// Observed output names, sorted ascending.
@@ -314,10 +315,26 @@ fn observed_names(probe: &Circuit) -> Vec<String> {
     names
 }
 
+/// For each wire of `probe`: its index in the sorted observed-name list,
+/// or `u32::MAX` if the wire is not observed.
+fn observed_slots(probe: &Circuit, names: &[String]) -> Vec<u32> {
+    (0..probe.wire_count())
+        .map(|i| {
+            let w = probe.wire_at(i);
+            if !probe.wire_observed(w) {
+                return u32::MAX;
+            }
+            names
+                .binary_search_by(|n| n.as_str().cmp(probe.wire_name(w)))
+                .expect("every observed wire is in the sorted name list") as u32
+        })
+        .collect()
+}
+
 /// Serial, trial-ordered reduction of per-trial outcomes into a
-/// [`SweepReport`]. Both engines feed it outcomes in trial order, so the
-/// floating-point accumulation order — and therefore the report — is
-/// bitwise-equal whenever the outcomes are.
+/// [`SweepReport`]. The sweep and its reference feed it outcomes in trial
+/// order, so the floating-point accumulation order — and therefore the
+/// report — is bitwise-equal whenever the outcomes are.
 fn reduce(names: Vec<String>, trials: u64, records: &[Trial]) -> SweepReport {
     let mut accs: Vec<OutAcc> = vec![OutAcc::empty(); names.len()];
     let (mut ok, mut check_failures, mut timing, mut other) = (0u64, 0u64, 0u64, 0u64);
@@ -391,7 +408,6 @@ pub struct Sweep<'a> {
     trials: u64,
     master_seed: u64,
     threads: usize,
-    batch_width: usize,
     until: Option<Time>,
     telemetry: Telemetry,
 }
@@ -402,59 +418,102 @@ impl std::fmt::Debug for Sweep<'_> {
             .field("trials", &self.trials)
             .field("master_seed", &self.master_seed)
             .field("threads", &self.threads)
-            .field("batch_width", &self.batch_width)
             .field("until", &self.until)
             .finish_non_exhaustive()
     }
 }
 
-/// What every block of one sweep execution reads.
+/// What every trial of one sweep execution reads.
 struct Job<'s, 'a> {
     sweep: &'s Sweep<'a>,
     /// Observed output names, sorted ascending.
     names: &'s [String],
+    /// Each wire's column in `names` order, `u32::MAX` if not observed.
+    slots: &'s [u32],
+    /// Run every trial on the full-`Events` reference path.
+    reference: bool,
     /// Keep each clean trial's pulse times (detailed runs).
     want_outputs: bool,
     /// Tally execution counters (telemetry is on).
     count: bool,
 }
 
-/// A worker's trial engine.
-enum Engine<'p> {
-    /// The lane kernel over the sweep's shared compiled plan.
-    Lanes(Kernel<'p>),
-    /// One reused simulation, one run per trial.
-    Trials(Simulation),
+/// One worker's reusable trial state: a simulation over the sweep's
+/// compiled circuit, the observed wires' pulse columns, and the events
+/// dictionary refilled in place for the check.
+struct Worker {
+    sim: Simulation,
+    columns: Vec<Vec<Time>>,
+    events: Option<Events>,
 }
 
-impl Engine<'_> {
-    fn run_block(
-        &mut self,
-        job: &Job,
-        first_trial: u64,
-        lanes: usize,
-        n: &mut Counters,
-        out: &mut Vec<Trial>,
-    ) {
-        match self {
-            Engine::Lanes(kernel) => kernel.run_block(job, first_trial, lanes, n, out),
-            Engine::Trials(sim) => {
-                for trial in first_trial..first_trial + lanes as u64 {
-                    out.push(run_trial(sim, job, trial, n));
-                }
-            }
+impl Worker {
+    fn new(job: &Job, circuit: Circuit, compiled: Arc<CompiledCircuit>) -> Self {
+        let mut sim = Simulation::with_compiled(circuit, compiled);
+        sim.set_until(job.sweep.until);
+        Worker {
+            sim,
+            columns: vec![Vec::new(); job.names.len()],
+            events: job
+                .sweep
+                .check
+                .is_some()
+                .then(|| Events::preallocated(job.names)),
         }
     }
+
+    /// Run trial `trial`. Pure in `(job, trial)`: the simulation is reset
+    /// and re-seeded first, so nothing a previous trial left behind (a
+    /// violation's partial state included) reaches this one.
+    fn trial(&mut self, job: &Job, trial: u64, n: &mut Counters) -> Trial {
+        let sweep = job.sweep;
+        self.sim.set_seed(trial_seed(sweep.master_seed, trial));
+        if let Some(v) = &sweep.variability {
+            self.sim.set_variability(Some(v()));
+        }
+        if job.reference {
+            return reference_trial(&mut self.sim, job, n);
+        }
+        for column in self.columns.iter_mut() {
+            column.clear();
+        }
+        let mut rec = Observed {
+            slot: job.slots,
+            columns: &mut self.columns,
+        };
+        match self.sim.run_into(&mut rec, n, job.count) {
+            Ok(()) => {}
+            Err(Halt::Timing { .. }) => return (TrialOutcome::Timing, Vec::new()),
+            Err(Halt::Hole(_)) => return (TrialOutcome::Other, Vec::new()),
+        }
+        // Jitter can record a wire's pulses out of order.
+        for column in self.columns.iter_mut() {
+            column.sort_by(f64::total_cmp);
+        }
+        let check_ok = match (&sweep.check, self.events.as_mut()) {
+            (Some(check), Some(ev)) => {
+                ev.refill_named(self.columns.iter().map(Vec::as_slice));
+                check(ev)
+            }
+            _ => true,
+        };
+        let per_output = self.columns.iter().map(|c| OutAcc::of(c)).collect();
+        let outputs = if job.want_outputs {
+            self.columns.clone()
+        } else {
+            Vec::new()
+        };
+        let outcome = TrialOutcome::Done {
+            per_output,
+            check_ok,
+        };
+        (outcome, outputs)
+    }
 }
 
-/// Run one trial on a reused simulation, seeded and configured exactly as
-/// the lane kernel configures a lane. Pure in `(sweep, trial)`.
-fn run_trial(sim: &mut Simulation, job: &Job, trial: u64, counters: &mut Counters) -> Trial {
-    let sweep = job.sweep;
-    sim.set_seed(trial_seed(sweep.master_seed, trial));
-    if let Some(v) = &sweep.variability {
-        sim.set_variability(Some(v()));
-    }
+/// The reference trial on a seeded simulation: a full checked run with
+/// every wire's `Events`, classified by its [`Error`].
+fn reference_trial(sim: &mut Simulation, job: &Job, counters: &mut Counters) -> Trial {
     match sim.run_counted(counters, job.count) {
         Ok(events) => {
             let per_output = job
@@ -462,7 +521,7 @@ fn run_trial(sim: &mut Simulation, job: &Job, trial: u64, counters: &mut Counter
                 .iter()
                 .map(|n| OutAcc::of(events.times(n)))
                 .collect();
-            let check_ok = sweep.check.as_ref().is_none_or(|c| c(&events));
+            let check_ok = job.sweep.check.as_ref().is_none_or(|c| c(&events));
             let outputs = if job.want_outputs {
                 job.names.iter().map(|n| events.times(n).to_vec()).collect()
             } else {
@@ -495,8 +554,9 @@ fn details(names: Vec<String>, trials: Vec<Trial>) -> SweepDetails {
 
 impl<'a> Sweep<'a> {
     /// Start a sweep over the circuit produced by `build`. The builder is
-    /// called once for the probe build, plus once per worker thread when
-    /// the circuit contains holes (never once per trial); it must be
+    /// called once for the probe build, which is compiled once for the
+    /// whole sweep and then run by the first worker, plus once for each
+    /// further worker thread (never once per trial); it must be
     /// deterministic — every call must produce the same circuit.
     pub fn over(build: impl Fn() -> Circuit + Sync + 'a) -> Self {
         Sweep {
@@ -506,7 +566,6 @@ impl<'a> Sweep<'a> {
             trials: 100,
             master_seed: 0,
             threads: 0,
-            batch_width: 16,
             until: None,
             telemetry: Telemetry::disabled(),
         }
@@ -519,8 +578,7 @@ impl<'a> Sweep<'a> {
     /// `sweep.worker` spans on 1-based timeline tracks; the sweep adds the
     /// `sweep.{runs,trials,ok,check_failures,timing_violations,
     /// other_errors}` verdict counters and a `sweep.run` span on track 0.
-    /// `wire_pulses` counts pulses recorded on observed wires (on every
-    /// wire for hole circuits, whose trials keep full event dictionaries).
+    /// `wire_pulses` counts pulses recorded on observed wires.
     pub fn telemetry(mut self, tel: &Telemetry) -> Self {
         self.telemetry = tel.clone();
         self
@@ -547,16 +605,6 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Set the batch width `W`: how many consecutive trials (lanes) one
-    /// block advances over one shared set of dense arrays (default 16).
-    /// Wider blocks amortize block setup over more lanes but touch more
-    /// state per cell; like the thread count, the width can never change
-    /// the results, only the wall clock.
-    pub fn batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width.max(1);
-        self
-    }
-
     /// Simulate each trial only until the given time (required for circuits
     /// with feedback loops).
     pub fn until(mut self, t: Time) -> Self {
@@ -574,10 +622,8 @@ impl<'a> Sweep<'a> {
 
     /// Add a per-trial output check (e.g. "outputs are rank-ordered"); a
     /// clean simulation whose events fail the check counts as a
-    /// `check_failure` instead of `ok`. On hole-free circuits the check
-    /// sees an events dictionary of the **observed** wires only; checks
-    /// that read named wires — the supported contract — see the same data
-    /// on every path.
+    /// `check_failure` instead of `ok`. The check sees an events
+    /// dictionary of the **observed** wires only.
     pub fn check(mut self, check: impl Fn(&Events) -> bool + Sync + 'a) -> Self {
         self.check = Some(Box::new(check));
         self
@@ -593,14 +639,15 @@ impl<'a> Sweep<'a> {
         t.min(n_blocks)
     }
 
-    /// Probe the builder, pick the engine (the lane kernel unless
-    /// `per_trial` is set or the circuit has holes), deal blocks of
-    /// `batch_width` trials round-robin to the workers, stitch the results
-    /// back into trial order, and reduce them serially — so floating-point
-    /// accumulation order, and with it the report, is fixed.
+    /// Probe the builder and compile it once, deal blocks of [`BLOCK`]
+    /// trials round-robin to the workers (on the calling thread when there
+    /// is one worker), stitch the results back into trial order, and
+    /// reduce them serially — so floating-point accumulation order, and
+    /// with it the report, is fixed. `reference` runs every trial on the
+    /// full-`Events` path instead.
     fn execute(
         &self,
-        per_trial: bool,
+        reference: bool,
         want_outputs: bool,
     ) -> Result<(SweepReport, Vec<String>, Vec<Trial>), SweepError> {
         let probe = (self.build)();
@@ -608,89 +655,86 @@ impl<'a> Sweep<'a> {
         let v = self.variability.as_ref().map(|f| f());
         validate_variability(v.as_ref(), &probe)?;
         let names = observed_names(&probe);
-        let has_holes = probe
-            .nodes
-            .iter()
-            .any(|n| matches!(n.kind, NodeKind::Hole(_)));
-        let plan = (!per_trial && !has_holes).then(|| Plan::new(&probe, &names));
-        drop(probe);
+        let slots = observed_slots(&probe, &names);
+        let compiled = Arc::new(CompiledCircuit::compile(&probe));
 
         let t_sweep = self.telemetry.now();
         let tel_on = self.telemetry.is_enabled();
         let job = Job {
             sweep: self,
             names: &names,
+            slots: &slots,
+            reference,
             want_outputs,
             count: tel_on,
         };
-        let width = self.batch_width;
-        let n_blocks = (self.trials as usize).div_ceil(width);
+        let trials = self.trials as usize;
+        let n_blocks = trials.div_ceil(BLOCK);
         let threads = self.effective_threads(n_blocks);
-        let mut per_worker: Vec<Vec<Vec<Trial>>> = std::thread::scope(|scope| {
-            let (job, plan) = (&job, plan.as_ref());
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut engine = match plan {
-                            Some(plan) => Engine::Lanes(Kernel::new(plan, width, job)),
-                            None => {
-                                let mut sim = Simulation::new((self.build)());
-                                sim.set_until(self.until);
-                                Engine::Trials(sim)
-                            }
-                        };
-                        let t_worker = self.telemetry.now();
-                        let mut n = Counters::default();
-                        let mut blocks = Vec::new();
-                        let mut done = 0u64;
-                        // Deterministic round-robin deal: worker w gets
-                        // blocks w, w+T, w+2T, …
-                        for b in (w..n_blocks).step_by(threads) {
-                            let lanes = width.min(self.trials as usize - b * width);
-                            let mut out = Vec::with_capacity(lanes);
-                            engine.run_block(job, (b * width) as u64, lanes, &mut n, &mut out);
-                            blocks.push(out);
-                            done += lanes as u64;
-                        }
-                        if tel_on {
-                            let tel = &self.telemetry;
-                            tel.add("sweep.blocks", blocks.len() as u64);
-                            n.flush(
-                                tel,
-                                [
-                                    "sweep.dispatches",
-                                    "sweep.transitions",
-                                    "sweep.pulses_pushed",
-                                    "sweep.pulses_popped",
-                                    "sweep.wire_pulses",
-                                ],
-                                "sweep.max_heap_depth",
-                            );
-                            if let Some(t0) = t_worker {
-                                tel.record_span("sweep.worker", w as u32 + 1, t0, done);
-                            }
-                        }
-                        blocks
+        let work = |w: usize, circuit: Circuit| {
+            let mut worker = Worker::new(&job, circuit, Arc::clone(&compiled));
+            let t_worker = self.telemetry.now();
+            let mut n = Counters::default();
+            let mut blocks = Vec::new();
+            // Deterministic round-robin deal: worker w gets blocks w, w+T,
+            // w+2T, …
+            for b in (w..n_blocks).step_by(threads) {
+                let block: Vec<Trial> = (b * BLOCK..trials.min((b + 1) * BLOCK))
+                    .map(|trial| worker.trial(&job, trial as u64, &mut n))
+                    .collect();
+                blocks.push(block);
+            }
+            if tel_on {
+                let tel = &self.telemetry;
+                tel.add("sweep.blocks", blocks.len() as u64);
+                n.flush(
+                    tel,
+                    [
+                        "sweep.dispatches",
+                        "sweep.transitions",
+                        "sweep.pulses_pushed",
+                        "sweep.pulses_popped",
+                        "sweep.wire_pulses",
+                    ],
+                    "sweep.max_heap_depth",
+                );
+                if let Some(t0) = t_worker {
+                    let done = blocks.iter().map(Vec::len).sum::<usize>();
+                    tel.record_span("sweep.worker", w as u32 + 1, t0, done as u64);
+                }
+            }
+            blocks
+        };
+        let mut per_worker: Vec<Vec<Vec<Trial>>> = match threads {
+            0 => Vec::new(),
+            1 => vec![work(0, probe)],
+            _ => std::thread::scope(|scope| {
+                let work = &work;
+                let mut probe = Some(probe);
+                let handles: Vec<_> = (0..threads)
+                    .map(|w| {
+                        let circuit = probe.take();
+                        scope.spawn(move || work(w, circuit.unwrap_or_else(|| (self.build)())))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked"))
+                    .collect()
+            }),
+        };
         // Stitch: global block b was worker (b mod T)'s next block, so
         // popping each worker's results in deal order restores trial order.
         for blocks in per_worker.iter_mut() {
             blocks.reverse();
         }
-        let mut trials = Vec::with_capacity(self.trials as usize);
+        let mut stitched = Vec::with_capacity(trials);
         for b in 0..n_blocks {
             let block = per_worker[b % threads].pop();
-            trials.extend(block.expect("one result per dealt block"));
+            stitched.extend(block.expect("one result per dealt block"));
         }
 
-        let report = reduce(names.clone(), self.trials, &trials);
+        let report = reduce(names.clone(), self.trials, &stitched);
         if tel_on {
             // Verdict counters come from the serial reduction, so they are
             // as deterministic as the report itself.
@@ -706,7 +750,7 @@ impl<'a> Sweep<'a> {
                 self.telemetry.record_span("sweep.run", 0, t0, self.trials);
             }
         }
-        Ok((report, names, trials))
+        Ok((report, names, stitched))
     }
 
     /// Execute the sweep and aggregate the per-trial results.
@@ -740,7 +784,7 @@ impl<'a> Sweep<'a> {
 
     /// Run every trial and return its individual verdict and output pulse
     /// times instead of the aggregate — the view the differential tests
-    /// compare, bit-identical at any thread count and batch width.
+    /// compare, bit-identical at any thread count.
     ///
     /// # Panics
     ///
@@ -767,8 +811,9 @@ impl<'a> Sweep<'a> {
     }
 
     /// The test oracle: the report and per-trial details of the same sweep
-    /// run entirely on the per-trial [`Simulation`] path, whatever the
-    /// circuit. Every sweep must be bit-identical to it.
+    /// with every trial a full [`Simulation`] run (circuit check, every
+    /// wire's [`Events`], the timing diagnostic). Every sweep must be
+    /// bit-identical to it.
     ///
     /// # Panics
     ///
@@ -1119,7 +1164,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernel_matches_reference_across_widths_and_threads() {
+    fn sweep_matches_reference_across_threads() {
         let build = diamond_builder();
         let sweep = || {
             Sweep::over(&build)
@@ -1128,11 +1173,9 @@ mod tests {
                 .master_seed(7)
         };
         let (reference, _) = sweep().run_reference();
-        for width in [1, 3, 16, 64, 100] {
-            for threads in [1, 4] {
-                let report = sweep().threads(threads).batch_width(width).run();
-                assert_eq!(report, reference, "width={width} threads={threads}");
-            }
+        for threads in [1, 3, 4, 64] {
+            let report = sweep().threads(threads).run();
+            assert_eq!(report, reference, "threads={threads}");
         }
     }
 
@@ -1146,9 +1189,9 @@ mod tests {
                 .master_seed(3)
         };
         let (_, reference) = sweep().run_reference();
-        for width in [1, 7, 64] {
-            let details = sweep().batch_width(width).threads(4).run_detailed();
-            assert_eq!(details, reference, "width={width}");
+        for threads in [1, 2, 4] {
+            let details = sweep().threads(threads).run_detailed();
+            assert_eq!(details, reference, "threads={threads}");
         }
     }
 
@@ -1167,7 +1210,7 @@ mod tests {
                 .master_seed(11)
                 .until(until)
                 .check(|ev| ev.times("L").len() == ev.times("R").len())
-                .batch_width(7)
+                .threads(2)
         };
         let (reference, details) = sweep().run_reference();
         assert_eq!(sweep().run(), reference, "until={until}");
@@ -1188,7 +1231,7 @@ mod tests {
     fn stateful_custom_variability_matches_reference() {
         // A stateful custom model: the k-th firing of a trial gets +0.1·k.
         // The factory builds it fresh per trial on both paths, and each
-        // lane calls its own closure in the lane's dispatch order.
+        // trial calls its own closure in its dispatch order.
         let build = diamond_builder();
         let factory = || {
             let mut k = 0u32;
@@ -1201,7 +1244,6 @@ mod tests {
             .variability(factory)
             .trials(17)
             .master_seed(5)
-            .batch_width(4)
             .threads(2);
         assert_eq!(sweep.run_detailed(), sweep.run_reference().1);
     }
@@ -1218,15 +1260,16 @@ mod tests {
         let sweep = Sweep::over(&build)
             .variability(factory)
             .trials(24)
-            .master_seed(9)
-            .batch_width(5);
+            .master_seed(9);
         assert_eq!(sweep.run_detailed(), sweep.run_reference().1);
     }
 
     #[test]
     fn timing_violations_kill_lanes_not_blocks() {
         // A 10 ps transition-time cell fed pulses 1 ps apart violates in
-        // every trial; lane verdicts must match the reference.
+        // every trial: each trial of a block ends in its own violation,
+        // matching the reference, instead of the first one ending the
+        // block.
         let m = Machine::new(
             "DUT",
             &["a"],
@@ -1250,19 +1293,23 @@ mod tests {
             c.inspect(q, "Q");
             c
         };
-        let sweep = Sweep::over(&build).trials(12).batch_width(8);
+        let sweep = Sweep::over(&build).trials(20);
         let report = sweep.run();
         assert_eq!(report, sweep.run_reference().0);
-        assert_eq!(report.timing_violations, 12);
+        assert_eq!(report.timing_violations, 20);
     }
 
     #[test]
     fn jitter_dependent_violations_diverge_per_lane() {
         // A reconvergent fan-out racing a transition-time window: the two
         // jittered paths arrive ~2 ps apart at a merger that needs 3 ps to
-        // recover, so with heavy jitter some trials violate and some pass —
-        // lanes within one block genuinely diverge, and must still match
-        // the reference.
+        // recover (and 4 ps from `a` to `b`, a past constraint on Θ), so
+        // with heavy jitter some trials violate and some pass within one
+        // block. One reused simulation runs a worker's trials,
+        // so only its per-trial reset keeps a violating trial's leftover
+        // heap, Θ and τ_done out of the next trial: every trial must equal
+        // a fresh simulation of its own, not just the reference (which
+        // reuses a simulation too).
         let m = Machine::new(
             "DUT",
             &["a", "b"],
@@ -1284,6 +1331,7 @@ mod tests {
                     dst: "idle",
                     firing: "q",
                     transition_time: 3.0,
+                    past_constraints: &[("a", 4.0)],
                     ..Default::default()
                 },
             ],
@@ -1303,10 +1351,27 @@ mod tests {
             .variability(|| Variability::Gaussian { std: 2.0 })
             .trials(200)
             .master_seed(1)
-            .batch_width(32)
             .threads(4);
         let report = sweep.run();
         assert_eq!(report, sweep.run_reference().0);
+        let details = sweep.run_detailed();
+        for t in &details.trials {
+            let fresh = Simulation::new(build())
+                .variability(Variability::Gaussian { std: 2.0 })
+                .seed(trial_seed(1, t.trial))
+                .run();
+            match fresh {
+                Ok(ev) => {
+                    assert_eq!(t.verdict, TrialVerdict::Ok, "trial {}", t.trial);
+                    let want: Vec<_> = details.names.iter().map(|n| ev.times(n)).collect();
+                    assert_eq!(t.outputs, want, "trial {}", t.trial);
+                }
+                Err(Error::Timing(_)) => {
+                    assert_eq!(t.verdict, TrialVerdict::Timing, "trial {}", t.trial)
+                }
+                Err(e) => panic!("trial {}: {e}", t.trial),
+            }
+        }
         // Guard against a vacuous pass: the workload must actually mix
         // verdicts for the divergence path to have been exercised.
         assert!(report.ok > 0, "some trials must pass");
@@ -1329,56 +1394,45 @@ mod tests {
     #[test]
     fn hole_circuits_run_per_trial_with_the_same_counters() {
         let build = hole_builder();
-        let run = |threads, width| {
-            let tel = Telemetry::new();
-            let details = Sweep::over(&build)
-                .variability(|| Variability::Gaussian { std: 0.4 })
-                .trials(6)
-                .threads(threads)
-                .batch_width(width)
-                .telemetry(&tel)
-                .run_detailed();
-            (details, tel.report())
-        };
-        let (details, serial) = run(1, 16);
-        let (wide_details, parallel) = run(3, 2);
-        assert_eq!(details, wide_details);
-        assert_eq!(
-            details,
+        let sweep = || {
             Sweep::over(&build)
                 .variability(|| Variability::Gaussian { std: 0.4 })
-                .trials(6)
-                .run_reference()
-                .1
-        );
-        // The per-trial path records the sweep's one counter set.
+                .trials(40)
+        };
+        let run = |threads| {
+            let tel = Telemetry::new();
+            let details = sweep().threads(threads).telemetry(&tel).run_detailed();
+            (details, tel.report())
+        };
+        let (details, serial) = run(1);
+        let (parallel_details, parallel) = run(3);
+        assert_eq!(details, parallel_details);
+        assert_eq!(details, sweep().run_reference().1);
+        // Hole circuits record like every sweep: observed wires only (A and
+        // Q, 2 pulses each per trial; the hole's output wire is anonymous).
         assert_eq!(serial.counter("sweep.runs"), 1);
-        assert_eq!(serial.counter("sweep.ok"), 6);
-        assert_eq!(serial.counter("sweep.dispatches"), 6 * 4);
+        assert_eq!(serial.counter("sweep.ok"), 40);
+        assert_eq!(serial.counter("sweep.dispatches"), 40 * 4);
+        assert_eq!(serial.counter("sweep.wire_pulses"), 40 * 4);
         assert!(serial.counters_with_prefix("sim.").is_empty());
-        assert_eq!(serial.counter("sweep.blocks"), 1);
-        assert_eq!(parallel.counter("sweep.blocks"), 3);
-        assert_eq!(
-            serial.counter("sweep.dispatches"),
-            parallel.counter("sweep.dispatches")
-        );
+        assert_eq!(serial.counter("sweep.blocks"), 3);
+        assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn lane_counters_match_per_trial_simulations() {
-        // The lane kernel counts exactly the work per-trial simulations
-        // count, except wire pulses, which it records on observed wires only.
+    fn sweep_counters_match_per_trial_simulations() {
+        // A sweep counts exactly the work per-trial simulations count,
+        // except wire pulses, which it records on observed wires only.
         let build = diamond_builder();
         let tel = Telemetry::new();
         Sweep::over(&build)
             .variability(|| Variability::Gaussian { std: 0.4 })
             .trials(20)
             .master_seed(7)
-            .batch_width(6)
             .threads(2)
             .telemetry(&tel)
             .run();
-        let lanes = tel.report();
+        let swept = tel.report();
         let sims = Telemetry::new();
         let mut sim = Simulation::new(build()).telemetry(&sims);
         sim.set_variability(Some(Variability::Gaussian { std: 0.4 }));
@@ -1395,52 +1449,66 @@ mod tests {
         ];
         for key in work {
             assert_eq!(
-                lanes.counter(&format!("sweep.{key}")),
+                swept.counter(&format!("sweep.{key}")),
                 sims.counter(&format!("sim.{key}")),
                 "{key}"
             );
         }
         assert_eq!(
-            lanes.gauge("sweep.max_heap_depth"),
+            swept.gauge("sweep.max_heap_depth"),
             sims.gauge("sim.max_heap_depth")
         );
         // The observed wires A, L and R carry 3 pulses per trial; the two
         // anonymous splitter outputs are not recorded.
-        assert_eq!(lanes.counter("sweep.wire_pulses"), 20 * 9);
+        assert_eq!(swept.counter("sweep.wire_pulses"), 20 * 9);
         assert_eq!(sims.counter("sim.wire_pulses"), 20 * 15);
-        assert_eq!(lanes.counter("sweep.blocks"), 4);
+        assert_eq!(swept.counter("sweep.blocks"), 2);
     }
 
     #[test]
-    fn counters_identical_across_threads_and_widths() {
-        let run = |threads, width| {
+    fn counters_identical_across_threads() {
+        let run = |threads| {
             let tel = Telemetry::new();
             Sweep::over(diamond_builder())
                 .variability(|| Variability::Gaussian { std: 0.4 })
                 .trials(64)
                 .master_seed(7)
                 .threads(threads)
-                .batch_width(width)
                 .telemetry(&tel)
                 .run();
             tel.report()
         };
-        let serial = run(1, 16);
-        let parallel = run(8, 16);
-        assert_eq!(serial, parallel);
-        // Different widths change block structure (and so the block
-        // counter) but never the work or verdict counters.
-        let wide = run(4, 64);
-        assert_eq!(wide.counter("sweep.blocks"), 1);
-        assert_eq!(wide.counter("sweep.ok"), 64);
-        assert_eq!(
-            wide.counter("sweep.dispatches"),
-            serial.counter("sweep.dispatches")
-        );
+        let serial = run(1);
+        for threads in [3, 8] {
+            assert_eq!(serial, run(threads), "threads={threads}");
+        }
+        assert_eq!(serial.counter("sweep.blocks"), 4);
+        assert_eq!(serial.counter("sweep.ok"), 64);
     }
 
     #[test]
-    fn nominal_lanes_are_exact() {
+    fn one_worker_sweeps_run_on_the_calling_thread() {
+        // The variability factory runs once per trial on whichever thread
+        // runs the trial.
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let record = || {
+            seen.lock().unwrap().push(std::thread::current().id());
+            Variability::Gaussian { std: 0.4 }
+        };
+        Sweep::over(diamond_builder())
+            .variability(record)
+            .trials(40)
+            .threads(1)
+            .run();
+        let seen = seen.into_inner().unwrap();
+        // The probe's validation call plus one call per trial.
+        assert_eq!(seen.len(), 41);
+        assert!(seen.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn nominal_trials_are_exact() {
         let report = Sweep::over(diamond_builder()).trials(16).run();
         assert_eq!(report.ok, 16);
         let l = report.output("L").unwrap();

@@ -16,10 +16,10 @@
 //!   keyed by the compiled circuit's interned `u32` symbols during the run
 //!   and resolved to names only at the flush boundary.
 //! * **Spans** — lightweight `(name, track, start, duration)` intervals
-//!   recorded into per-thread [`SpanRing`] buffers (one bounded ring per
-//!   worker, no cross-thread contention) and merged deterministically: the
-//!   exported order is a pure function of `(track, seq)`, never of thread
-//!   scheduling.
+//!   for coarse units of work (a run, a sweep worker, a model-check
+//!   level), recorded with [`Telemetry::record_span`] into one shared,
+//!   capped store: the exported order is a pure function of
+//!   `(track, seq)`.
 //! * **Latency histograms** — log-linear [`Histogram`]s (HDR-style: 32
 //!   linear sub-buckets per power of two, ~3% relative error) recorded
 //!   explicitly via [`Telemetry::record_hist`] and implicitly from every
@@ -86,12 +86,8 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Default per-thread span-ring capacity (spans kept per track before the
-/// oldest are overwritten).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Cap on spans retained in the shared store across all merged rings and
-/// direct records; further spans are counted as dropped.
+/// Cap on spans retained in the shared store; further spans are counted
+/// as dropped.
 const MAX_STORED_SPANS: usize = 1 << 16;
 
 /// Per-cell-type tallies, accumulated during a run under interned `u32`
@@ -129,7 +125,7 @@ pub struct SpanRec {
     /// Track (timeline lane): 0 is the driving thread, workers use 1-based
     /// indices.
     pub track: u32,
-    /// Per-track sequence number (monotonic within a ring).
+    /// Sequence number (monotonic in recording order).
     pub seq: u32,
     /// Start time in microseconds since the owning [`Telemetry`]'s epoch.
     pub start_us: f64,
@@ -137,73 +133,6 @@ pub struct SpanRec {
     pub dur_us: f64,
     /// One numeric payload (meaning depends on `name`).
     pub arg: u64,
-}
-
-/// A bounded per-thread span buffer. Each worker owns one ring, records
-/// into it without any synchronization, and hands it back to the
-/// [`Telemetry`] handle with [`Telemetry::merge_ring`] when done. When the
-/// ring is full the oldest span is overwritten and counted as dropped.
-#[derive(Debug)]
-pub struct SpanRing {
-    epoch: Instant,
-    track: u32,
-    cap: usize,
-    next_seq: u32,
-    buf: Vec<SpanRec>,
-    /// Oldest live slot when the ring has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl SpanRing {
-    fn new(epoch: Instant, track: u32, cap: usize) -> Self {
-        SpanRing {
-            epoch,
-            track,
-            cap: cap.max(1),
-            next_seq: 0,
-            buf: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// The track this ring records onto.
-    pub fn track(&self) -> u32 {
-        self.track
-    }
-
-    /// Record a span that started at `started` and ends now.
-    pub fn record(&mut self, name: &'static str, started: Instant, arg: u64) {
-        let start_us = started.saturating_duration_since(self.epoch).as_secs_f64() * 1e6;
-        let dur_us = started.elapsed().as_secs_f64() * 1e6;
-        let rec = SpanRec {
-            name,
-            track: self.track,
-            seq: self.next_seq,
-            start_us,
-            dur_us,
-            arg,
-        };
-        self.next_seq = self.next_seq.wrapping_add(1);
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Spans currently held (in ring storage order, not seq order).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// Sub-bucket precision of [`Histogram`]: 2^5 = 32 linear sub-buckets per
@@ -365,15 +294,15 @@ struct State {
     peaks: BTreeMap<&'static str, u64>,
     /// Per-cell-type tallies, keyed by resolved cell name.
     cells: BTreeMap<String, CellTally>,
-    /// Merged spans from every ring and direct record.
+    /// Recorded spans.
     spans: Vec<SpanRec>,
     /// Duration histograms: one per span name (fed automatically by
-    /// [`Telemetry::record_span`] / [`Telemetry::merge_ring`]) plus any
-    /// recorded explicitly via [`Telemetry::record_hist`].
+    /// [`Telemetry::record_span`]) plus any recorded explicitly via
+    /// [`Telemetry::record_hist`].
     hists: BTreeMap<&'static str, Histogram>,
-    /// Spans lost to ring overwrites or the shared-store cap.
+    /// Spans lost to the store cap.
     dropped_spans: u64,
-    /// Sequence counter for spans recorded directly (track-0 convenience).
+    /// Sequence counter for recorded spans.
     direct_seq: u32,
 }
 
@@ -457,41 +386,6 @@ impl Telemetry {
                 None => {
                     st.cells.insert(cell.to_string(), *tally);
                 }
-            }
-        }
-    }
-
-    /// A new span ring for `track` with the default capacity, or `None`
-    /// when disabled (workers skip span bookkeeping entirely).
-    pub fn ring(&self, track: u32) -> Option<SpanRing> {
-        self.ring_with_capacity(track, DEFAULT_RING_CAPACITY)
-    }
-
-    /// A new span ring for `track` holding at most `cap` spans.
-    pub fn ring_with_capacity(&self, track: u32, cap: usize) -> Option<SpanRing> {
-        self.inner.as_ref().map(|i| SpanRing::new(i.epoch, track, cap))
-    }
-
-    /// Merge a worker's ring back into the shared store. Spans are appended
-    /// in the ring's sequence order; the export sorts globally by
-    /// `(track, seq)`, so the merged timeline is independent of merge order.
-    pub fn merge_ring(&self, ring: SpanRing) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock().expect("telemetry poisoned");
-        st.dropped_spans += ring.dropped;
-        let SpanRing { buf, head, .. } = ring;
-        // Oldest-first: [head..] then [..head].
-        for rec in buf[head..].iter().chain(&buf[..head]) {
-            // Histograms take every surviving span's duration even past the
-            // span-store cap: a capped store shouldn't skew latency stats.
-            st.hists
-                .entry(rec.name)
-                .or_default()
-                .record(rec.dur_us as u64);
-            if st.spans.len() >= MAX_STORED_SPANS {
-                st.dropped_spans += 1;
-            } else {
-                st.spans.push(*rec);
             }
         }
     }
@@ -596,7 +490,7 @@ impl Telemetry {
         }
     }
 
-    /// Number of spans dropped (ring overwrites plus the shared-store cap).
+    /// Number of spans dropped at the shared-store cap.
     pub fn dropped_spans(&self) -> u64 {
         match &self.inner {
             None => 0,
@@ -607,8 +501,7 @@ impl Telemetry {
     /// Export every recorded span as a Chrome `trace_event` JSON document
     /// (load in `about:tracing` or Perfetto). Spans are sorted by
     /// `(track, seq)`, so the document layout is a pure function of the
-    /// recorded span set, independent of thread scheduling and merge order;
-    /// only the timestamps themselves vary run to run.
+    /// recorded span set; only the timestamps themselves vary run to run.
     pub fn chrome_trace_json(&self) -> String {
         match &self.inner {
             None => chrome_trace_for(&[], 0),
@@ -792,7 +685,6 @@ mod tests {
             transitions: 1,
             fired: 1,
         });
-        assert!(tel.ring(1).is_none());
         assert!(tel.now().is_none());
         let report = tel.report();
         assert!(report.is_empty());
@@ -852,25 +744,6 @@ mod tests {
         assert_eq!(r1.to_json(), r2.to_json());
         // Sorted by name regardless of insertion order.
         assert_eq!(r1.counters[0].0, "a");
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let tel = Telemetry::new();
-        let mut ring = tel.ring_with_capacity(1, 2).unwrap();
-        let t0 = Instant::now();
-        ring.record("s", t0, 0);
-        ring.record("s", t0, 1);
-        ring.record("s", t0, 2); // evicts arg=0
-        assert_eq!(ring.len(), 2);
-        tel.merge_ring(ring);
-        assert_eq!(tel.dropped_spans(), 1);
-        let json = tel.chrome_trace_json();
-        assert!(json.contains("\"droppedSpans\":1"));
-        // Oldest-first merge: seq 1 then seq 2 survive.
-        let i1 = json.find("\"seq\":1").unwrap();
-        let i2 = json.find("\"seq\":2").unwrap();
-        assert!(i1 < i2);
     }
 
     #[test]
@@ -958,10 +831,8 @@ mod tests {
         let tel = Telemetry::new();
         let t0 = Instant::now();
         tel.record_span("sim.run", 0, t0, 1);
-        let mut ring = tel.ring(1).unwrap();
-        ring.record("sweep.worker", t0, 0);
-        ring.record("sweep.worker", t0, 1);
-        tel.merge_ring(ring);
+        tel.record_span("sweep.worker", 1, t0, 0);
+        tel.record_span("sweep.worker", 2, t0, 1);
         tel.record_hist("queue.depth", 17);
         let hists = tel.histograms();
         let names: Vec<&str> = hists.iter().map(|(n, _)| n.as_str()).collect();

@@ -252,8 +252,6 @@ pub struct ShmooOptions {
     pub master_seed: u64,
     /// Sweep worker threads, 0 = available parallelism (default 0).
     pub threads: usize,
-    /// Batch width (lanes per block) of each cell's sweep (default 16).
-    pub batch_width: usize,
     /// A cell passes when its sweep failure rate is `<= tolerance`
     /// (default 0.05).
     pub tolerance: f64,
@@ -268,7 +266,6 @@ impl Default for ShmooOptions {
             trials: 200,
             master_seed: 0xB10C,
             threads: 0,
-            batch_width: 16,
             tolerance: 0.05,
             adaptive: true,
         }
@@ -594,7 +591,7 @@ pub fn shmoo_scale_is_valid(name: &str, s: f64) -> bool {
 /// Each evaluated cell runs one deterministic [`Sweep`] of
 /// `opts.trials` trials; its master seed is a pure function of the map's
 /// seed and the cell's grid index, so the verdict of a cell does not
-/// depend on evaluation order, adaptivity, thread count, or batch width —
+/// depend on evaluation order, adaptivity or thread count —
 /// adaptive and uniform maps agree on every cell both measure, and equal
 /// arguments produce byte-identical [`render`](ShmooMap::render) output.
 ///
@@ -620,7 +617,6 @@ pub fn shmoo_map(design: &str, sigmas: &[f64], scales: &[f64], opts: &ShmooOptio
                 .trials(opts.trials)
                 .master_seed(seed)
                 .threads(opts.threads)
-                .batch_width(opts.batch_width)
                 .run();
             report.failure_rate() <= opts.tolerance
         };
@@ -820,11 +816,14 @@ mod tests {
     }
 
     #[test]
-    fn shmoo_is_deterministic_across_threads_and_widths() {
+    fn shmoo_is_deterministic_across_threads() {
         let sigmas = [1.0];
         let scales = [0.1, 0.8, 1.5];
+        // 40 trials are three 16-trial blocks, so three threads each run
+        // one.
         let base = ShmooOptions {
-            trials: 16,
+            trials: 40,
+            threads: 1,
             ..ShmooOptions::default()
         };
         let a = shmoo_map("race_tree", &sigmas, &scales, &base);
@@ -832,11 +831,7 @@ mod tests {
             "race_tree",
             &sigmas,
             &scales,
-            &ShmooOptions {
-                threads: 3,
-                batch_width: 5,
-                ..base
-            },
+            &ShmooOptions { threads: 3, ..base },
         );
         assert_eq!(a, b);
         assert_eq!(a.render(), b.render());

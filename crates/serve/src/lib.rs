@@ -389,6 +389,12 @@ impl VarSpec {
     }
 }
 
+/// The rule every jitter σ a request carries must meet (`variability`
+/// and `shmoo`'s `sigmas` alike).
+fn sigma_ok(sigma: f64) -> bool {
+    sigma.is_finite() && sigma >= 0.0
+}
+
 /// The `"variability"` field of a request: `{"kind":"gaussian","std":S}` or
 /// `{"kind":"per_cell_type","sigmas":{"JTL":S,…}}`.
 fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
@@ -402,6 +408,11 @@ fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
                 .get("std")
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| RequestError("gaussian variability needs 'std'".into()))?;
+            if !sigma_ok(std) {
+                return Err(RequestError(
+                    "gaussian 'std' must be finite and non-negative".into(),
+                ));
+            }
             Ok(VarSpec::Gaussian(std))
         }
         "per_cell_type" => {
@@ -414,6 +425,11 @@ fn parse_variability(v: &JsonValue) -> Result<VarSpec, RequestError> {
                 let sigma = sigma.as_f64().ok_or_else(|| {
                     RequestError(format!("sigma for '{cell}' is not a number"))
                 })?;
+                if !sigma_ok(sigma) {
+                    return Err(RequestError(format!(
+                        "sigma for '{cell}' must be finite and non-negative"
+                    )));
+                }
                 map.insert(cell.clone(), sigma);
             }
             Ok(VarSpec::PerCellType(map))
@@ -794,10 +810,7 @@ impl Server {
                 .ok_or_else(|| RequestError(format!("shmoo needs a non-empty '{key}' array")))
         };
         let sigmas = axis("sigmas")?;
-        if sigmas
-            .iter()
-            .any(|sigma| !(sigma.is_finite() && *sigma >= 0.0))
-        {
+        if !sigmas.iter().all(|&sigma| sigma_ok(sigma)) {
             return Err(RequestError(
                 "'sigmas' values must be finite and non-negative".into(),
             ));
@@ -1243,6 +1256,48 @@ mod tests {
     }
 
     #[test]
+    fn variability_sigmas_are_read_as_strictly_as_shmoo_sigmas() {
+        let server = Server::new(ServeOptions::default());
+        let ir = rlse_designs::design_ir("min_max", 1.0)
+            .to_value()
+            .to_compact();
+        let line = |kind: &str, variability: &str| {
+            format!(
+                "{{\"kind\":\"{kind}\",\"trials\":2,\"variability\":{variability},\"ir\":{ir}}}"
+            )
+        };
+        let bad = |what: &str| Some(format!("{what} must be finite and non-negative"));
+        let cases = [
+            (r#"{"kind":"gaussian","std":-1}"#, bad("gaussian 'std'")),
+            (
+                r#"{"kind":"gaussian","std":-1e-300}"#,
+                bad("gaussian 'std'"),
+            ),
+            (
+                r#"{"kind":"per_cell_type","sigmas":{"S":-5}}"#,
+                bad("sigma for 'S'"),
+            ),
+            (
+                r#"{"kind":"per_cell_type","sigmas":{"S":0.1,"J":-0.1}}"#,
+                bad("sigma for 'J'"),
+            ),
+            (r#"{"kind":"gaussian","std":0}"#, None),
+            (r#"{"kind":"gaussian","std":0.3}"#, None),
+            (r#"{"kind":"per_cell_type","sigmas":{"S":0}}"#, None),
+        ];
+        for kind in ["simulate", "sweep"] {
+            for (variability, error) in &cases {
+                let r = server.handle_line(&line(kind, variability));
+                let want = match error {
+                    Some(e) => format!("\"ok\":false,\"error\":\"{e}\""),
+                    None => "\"ok\":true".to_string(),
+                };
+                assert!(r.contains(&want), "{kind} {variability}: {r}");
+            }
+        }
+    }
+
+    #[test]
     fn shmoo_records_a_trials_clamp_only_when_asked_for_more() {
         let server = Server::new(ServeOptions {
             max_trials: 8,
@@ -1278,7 +1333,8 @@ mod tests {
     fn hostile_fixture_lines_are_answered_in_band() {
         // Each of the first three lines used to panic a worker (shmoo
         // scales that put a stimulus pulse at a negative or infinite time)
-        // or run without bound (a feedback ring with no horizon); the
+        // or run without bound (a feedback ring with no horizon); the next
+        // two were answered "ok":true with a negative jitter σ; the
         // trailing ping proves the server is still serving.
         let fixture = include_str!("../fixtures/hostile.jsonl");
         let lines: Vec<&str> = fixture.lines().collect();
@@ -1292,15 +1348,17 @@ mod tests {
         let summary = server.serve_reader(fixture.as_bytes(), &mut out).unwrap();
         let out = String::from_utf8(out).unwrap();
         let responses: Vec<&str> = out.lines().collect();
-        assert_eq!(responses.len(), 4, "{out}");
-        for r in &responses[..3] {
+        assert_eq!(responses.len(), 6, "{out}");
+        for r in &responses[..5] {
             assert!(r.contains("\"ok\":false"), "{r}");
         }
         assert!(responses[0].contains("'scales' value at index 0"), "{out}");
         assert!(responses[1].contains("'scales' value at index 0"), "{out}");
         assert!(responses[2].contains("feedback loop"), "{out}");
-        assert_eq!(responses[3], "{\"kind\":\"ping\",\"ok\":true}");
-        assert_eq!((summary.requests, summary.errors), (4, 3));
+        assert!(responses[3].contains("gaussian 'std' must be"), "{out}");
+        assert!(responses[4].contains("sigma for 'M' must be"), "{out}");
+        assert_eq!(responses[5], "{\"kind\":\"ping\",\"ok\":true}");
+        assert_eq!((summary.requests, summary.errors), (6, 5));
     }
 
     #[test]

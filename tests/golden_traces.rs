@@ -116,8 +116,8 @@ fn golden_minmax_shmoo_map() {
     // A small fixed-seed margin map for the min-max pair, pinned byte for
     // byte: every cell verdict is a deterministic function of the map's
     // master seed and the cell's grid index, so this render must never
-    // drift — not across thread counts, batch widths, or adaptive vs
-    // uniform evaluation order (the per-cell seeds are shared).
+    // drift — not across thread counts or adaptive vs uniform
+    // evaluation order (the per-cell seeds are shared).
     let sigmas = [0.0, 1.0, 2.0];
     let scales: Vec<f64> = (0..8).map(|i| 0.05 + 0.25 * i as f64).collect();
     let opts = ShmooOptions {

@@ -4,14 +4,13 @@
 //!
 //! For every Table-3 design, the same Monte-Carlo study (Gaussian jitter at
 //! a σ hot enough to make some trials fail their functional check) is run
-//! on the lane kernel via `run_detailed`, and every per-trial verdict and
-//! every output pulse time must match the reference exactly, across thread
-//! counts {1, 4, 8} and batch widths {1, 7, 64}. The aggregated
-//! `SweepReport`s must also be bitwise-equal, since both paths feed the
-//! same serial reduction in trial order. The same grid covers the cases the
-//! lane kernel must get right beyond the designs: a hole circuit (which
-//! runs per trial), `until` on a feedback loop, and a stateful
-//! `Variability::Custom`.
+//! via `run_detailed`, which records observed wires only and builds no
+//! diagnostic, and every per-trial verdict and every output pulse time must
+//! match the reference exactly, across thread counts {1, 4, 8}. The
+//! aggregated `SweepReport`s must also be bitwise-equal, since both paths
+//! feed the same serial reduction in trial order. The same grid covers the
+//! cases a sweep must get right beyond the designs: a hole circuit, `until`
+//! on a feedback loop, and a stateful `Variability::Custom`.
 //!
 //! The harness drives the exact circuits the shmoo maps sweep
 //! ([`rlse::designs::design_spec`]), at a scale/σ point chosen per design
@@ -26,7 +25,6 @@ use rlse::prelude::*;
 const TRIALS: u64 = 48;
 const SEED: u64 = 0xD1FF;
 const THREADS: [usize; 3] = [1, 4, 8];
-const WIDTHS: [usize; 3] = [1, 7, 64];
 
 /// A (scale, σ) operating point per design, tuned so that `TRIALS` trials
 /// at `SEED` produce a mix of passing and non-passing verdicts: close
@@ -47,7 +45,7 @@ fn hot_point(design: &str) -> (f64, f64) {
     }
 }
 
-/// The hot-point study of one design, ready for threads/width.
+/// The hot-point study of one design, ready for a thread count.
 fn design_sweep(design: &str) -> Sweep<'static> {
     let (build, check) = design_spec(design);
     let (scale, sigma) = hot_point(design);
@@ -59,25 +57,22 @@ fn design_sweep(design: &str) -> Sweep<'static> {
 }
 
 /// The core differential assertion: the per-trial reference of
-/// `sweep()` against the sweep itself at every (threads × width)
-/// combination, per-trial details and aggregate reports both.
+/// `sweep()` against the sweep itself at every thread count, per-trial
+/// details and aggregate reports both.
 fn assert_matches_reference(what: &str, sweep: impl Fn() -> Sweep<'static>) -> SweepDetails {
     let (reference_report, reference): (SweepReport, SweepDetails) =
         sweep().threads(1).run_reference();
     for threads in THREADS {
-        for width in WIDTHS {
-            let details = sweep().threads(threads).batch_width(width).run_detailed();
-            assert_eq!(
-                reference, details,
-                "{what}: sweep diverged from the per-trial reference at \
-                 threads={threads} width={width}"
-            );
-            let report = sweep().threads(threads).batch_width(width).run();
-            assert_eq!(
-                reference_report, report,
-                "{what}: aggregate reports diverged at threads={threads} width={width}"
-            );
-        }
+        let details = sweep().threads(threads).run_detailed();
+        assert_eq!(
+            reference, details,
+            "{what}: sweep diverged from the per-trial reference at threads={threads}"
+        );
+        let report = sweep().threads(threads).run();
+        assert_eq!(
+            reference_report, report,
+            "{what}: aggregate reports diverged at threads={threads}"
+        );
     }
     reference
 }
@@ -170,12 +165,7 @@ fn design_list_is_covered() {
 #[test]
 fn zero_trials_is_empty_report_not_panic() {
     let (build, check) = design_spec("min_max");
-    let sweep = || {
-        Sweep::over(move || build(1.0))
-            .check(check)
-            .trials(0)
-            .batch_width(16)
-    };
+    let sweep = || Sweep::over(move || build(1.0)).check(check).trials(0);
     let report = sweep().run();
     let (reference, details) = sweep().run_reference();
     for report in [&report, &reference] {
@@ -243,9 +233,10 @@ fn sigma_zero_equals_nominal_run() {
     }
 }
 
-/// A circuit with a behavioral hole runs every trial on a simulation of
-/// its own; the block deal and stitch must still be thread- and
-/// width-invariant.
+/// A circuit with a behavioral hole runs like any other: each worker runs
+/// its trials on its own simulation, over its own build of the circuit
+/// (the hole closures are per build), and the block deal and stitch must
+/// still be thread-invariant.
 #[test]
 fn hole_circuit_matches_reference() {
     let build = || {
@@ -269,8 +260,8 @@ fn hole_circuit_matches_reference() {
     assert!(details.trials.iter().all(|t| t.outputs[2].len() == 5));
 }
 
-/// A ring oscillator pulses forever; `until` alone ends each trial, on
-/// the lane kernel exactly where the reference ends it.
+/// A ring oscillator pulses forever; `until` alone ends each trial, in
+/// the sweep exactly where the reference ends it.
 #[test]
 fn feedback_loop_until_matches_reference() {
     let build = || {
@@ -296,7 +287,7 @@ fn feedback_loop_until_matches_reference() {
 
 /// A stateful custom delay model: the factory builds a fresh closure per
 /// trial whose k-th firing gets `+0.05·k` plus a draw from the trial's RNG
-/// stream, so any divergence in per-lane dispatch order, closure state or
+/// stream, so any divergence in per-trial dispatch order, closure state or
 /// RNG position shows up in the pulse times.
 #[test]
 fn stateful_custom_variability_matches_reference() {
